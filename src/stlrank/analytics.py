@@ -49,7 +49,7 @@ from .core.formula import (
     channels_of,
     operator_count,
 )
-from .core.semantics import eval_fast
+from .core.semantics import eval_fast, eval_predicate
 from .ingest import Dataset, ProductRecord, to_traceset
 from .props import PropertySpec
 
@@ -81,6 +81,20 @@ __all__ = [
 OVERALL = "(all)"
 
 METRICS = ("impressions", "clicks", "purchases")
+
+
+def _render_columns(headers: Sequence[str], cells: Sequence[Sequence[str]], left: int) -> str:
+    """Aligned text table: the first `left` columns flush left, the rest
+    flush right, two spaces apart, trailing blanks stripped."""
+    rows = [tuple(headers), *cells]
+    widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
+    return "".join(
+        "  ".join(
+            c.ljust(w) if i < left else c.rjust(w) for i, (c, w) in enumerate(zip(r, widths))
+        ).rstrip()
+        + "\n"
+        for r in rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +138,17 @@ class RateTable:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        headers = ("category", "property", "satisfied", "total", "rate")
-        cells = [headers]
-        for row in self.rows:
-            rate = "NA" if math.isnan(row.rate) else f"{row.rate:.4f}"
-            cells.append(
-                (row.category, row.property, str(row.satisfied), str(row.total), rate)
+        cells = [
+            (
+                row.category,
+                row.property,
+                str(row.satisfied),
+                str(row.total),
+                "NA" if math.isnan(row.rate) else f"{row.rate:.4f}",
             )
-        widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-        lines = []
-        for r in cells:
-            lines.append(
-                "  ".join(
-                    r[i].ljust(widths[i]) if i < 2 else r[i].rjust(widths[i])
-                    for i in range(len(headers))
-                ).rstrip()
-            )
-        return "\n".join(lines) + "\n"
+            for row in self.rows
+        ]
+        return _render_columns(("category", "property", "satisfied", "total", "rate"), cells, 2)
 
 
 def _spec_verdicts(records: Sequence[ProductRecord], specs: Sequence[PropertySpec]) -> np.ndarray:
@@ -232,21 +240,17 @@ class MetricTable:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        headers = ("property", "group", "metric", "count", "mean")
-        cells = [headers]
-        for row in self.rows:
-            mean = "NA" if math.isnan(row.mean) else f"{row.mean:.2f}"
-            cells.append((row.property, row.group, row.metric, str(row.count), mean))
-        widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-        lines = []
-        for r in cells:
-            lines.append(
-                "  ".join(
-                    r[i].ljust(widths[i]) if i < 3 else r[i].rjust(widths[i])
-                    for i in range(len(headers))
-                ).rstrip()
+        cells = [
+            (
+                row.property,
+                row.group,
+                row.metric,
+                str(row.count),
+                "NA" if math.isnan(row.mean) else f"{row.mean:.2f}",
             )
-        return "\n".join(lines) + "\n"
+            for row in self.rows
+        ]
+        return _render_columns(("property", "group", "metric", "count", "mean"), cells, 3)
 
 
 def metric_distribution(
@@ -338,9 +342,12 @@ class ExpansionReport:
 
 def _formula_horizon(f: Formula, horizon: int) -> int:
     """Last day the formula can be evaluated at: day `horizon` for the
-    position channel, one less once the derivative channel is involved."""
-    last = horizon
-    for chan in channels_of(f):
+    position channel, one less once the derivative channel is involved. A
+    formula that reads no channel is evaluated on the grid both channels
+    share, so it stops one day early too."""
+    chans = channels_of(f)
+    last = horizon if chans else horizon - 1
+    for chan in chans:
         if chan == "x":
             pass
         elif chan == "d1(x)":
@@ -487,25 +494,6 @@ def expand_propositional(f: Formula, horizon: int) -> ExpansionReport:
     )
 
 
-def _expr_value(e, channels: Mapping[str, np.ndarray], day: int) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return float(channels[e.name][day])
-        except KeyError:
-            raise ExpansionError(f"unknown channel {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -_expr_value(e.operand, channels, day)
-    if isinstance(e, Abs):
-        return abs(_expr_value(e.operand, channels, day))
-    if isinstance(e, Add):
-        return _expr_value(e.left, channels, day) + _expr_value(e.right, channels, day)
-    if isinstance(e, Sub):
-        return _expr_value(e.left, channels, day) - _expr_value(e.right, channels, day)
-    return _expr_value(e.left, channels, day) * _expr_value(e.right, channels, day)
-
-
 def evaluate_grounded(node: object, channels: Mapping[str, np.ndarray]) -> bool:
     """Evaluate a grounded formula against per-channel day arrays."""
     if isinstance(node, GTrue):
@@ -513,21 +501,14 @@ def evaluate_grounded(node: object, channels: Mapping[str, np.ndarray]) -> bool:
     if isinstance(node, GFalse):
         return False
     if isinstance(node, GAtom):
-        pred = node.predicate
-        diff = _expr_value(pred.lhs, channels, node.day) - _expr_value(
-            pred.rhs, channels, node.day
-        )
-        if pred.op == "<":
-            return diff < 0
-        if pred.op == "<=":
-            return diff <= 0
-        if pred.op == ">":
-            return diff > 0
-        if pred.op == ">=":
-            return diff >= 0
-        if pred.op == "==":
-            return abs(diff) <= pred.eq_tolerance
-        return abs(diff) > pred.eq_tolerance
+
+        def value_of(name: str) -> float:
+            try:
+                return float(channels[name][node.day])
+            except KeyError:
+                raise ExpansionError(f"unknown channel {name!r}") from None
+
+        return eval_predicate(node.predicate, value_of)
     if isinstance(node, GNot):
         return not evaluate_grounded(node.child, channels)
     if isinstance(node, GAnd):
@@ -669,18 +650,16 @@ def cluster_kmeans(
 def rates_plot_data(table: RateTable) -> str:
     """Gnuplot-ready satisfaction rates: one row per category, one column
     per property, in first-seen order."""
-    properties: list[str] = []
-    categories: list[str] = []
+    rates: dict[tuple[str, str], float] = {}
     for row in table.rows:
-        if row.property not in properties:
-            properties.append(row.property)
-        if row.category not in categories:
-            categories.append(row.category)
+        rates.setdefault((row.category, row.property), row.rate)
+    properties = list(dict.fromkeys(prop for _, prop in rates))
+    categories = list(dict.fromkeys(cat for cat, _ in rates))
     lines = ["# category " + " ".join(properties)]
     for cat in categories:
         vals = []
         for prop in properties:
-            r = table.rate(cat, prop)
+            r = rates[(cat, prop)]
             vals.append("NA" if math.isnan(r) else f"{r:.6f}")
         lines.append(" ".join([cat] + vals))
     return "\n".join(lines) + "\n"

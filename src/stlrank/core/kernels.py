@@ -1,30 +1,23 @@
 """Array kernels behind the linear-time evaluator.
 
-Each kernel answers one window query for every position of a boolean array in
-a single O(n) pass. Windows arrive as inclusive index bounds lo[i]..hi[i]
-that are non-decreasing in i, because they come from sliding a fixed real
-interval along a sorted time grid. Empty windows (hi < lo, or lo past the
-end) produce the quantifier identity: False for "any", True for "all".
+Each kernel answers one window query for every position of a boolean array
+in a single vectorized pass. Windows arrive as inclusive index bounds
+lo[i]..hi[i] that are non-decreasing in i, because they come from sliding a
+fixed real interval along a sorted time grid. Empty windows (hi < lo, or lo
+past the end) produce the quantifier identity: False for "any", True for
+"all".
 
-Two interchangeable implementations exist:
+The window queries read a running count off one prefix sum, the boolean
+degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046), in O(n).
+The until scan combines run lengths of the left operand with next-witness
+indices of the right one, and the bounds come from searchsorted over the
+grid, both O(n log n).
 
-* numba: jitted scans. Window queries keep a running count over the moving
-  index range with two pointers, which is the boolean degenerate of a
-  monotonic-deque sliding min/max; the until scan precomputes run lengths
-  and next-witness indices in one backward pass; the bound computation
-  itself (shift_bounds) is a forward merge. O(n) per call.
-* numpy: the same answers from prefix sums and searchsorted, fully
-  vectorized, O(n) for the window queries and O(n log n) for the bounds.
-
-The active implementation is picked at import from the STLRANK_BACKEND
-environment variable ("auto", "numba", or "numpy", default "auto": numba
-when importable). `use_backend` switches at runtime; the benchmark under
-benchmarks/ and the kernel tests exercise both.
+The evaluator calls every kernel as an attribute of this module
+(`kernels.window_any(...)`), so a profiler can wrap them here.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -34,31 +27,33 @@ __all__ = [
     "until_scan",
     "shift_bounds",
     "active_backend",
-    "available_backends",
-    "use_backend",
 ]
 
 
-# ---------------------------------------------------------------------------
-# Pure-numpy implementation.
-# ---------------------------------------------------------------------------
+def active_backend() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
-def _window_counts_np(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+
+def _window_counts(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    vals = np.asarray(vals, dtype=np.bool_)
     n = vals.shape[0]
     csum = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(vals, out=csum[1:])
-    a = np.clip(lo, 0, n)
-    b = np.clip(hi + 1, a, n)
+    a = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    b = np.clip(np.asarray(hi, dtype=np.int64) + 1, a, n)
     return csum[b] - csum[a], b - a
 
 
-def _window_any_np(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    cnt, _ = _window_counts_np(vals, lo, hi)
+def window_any(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """out[i] = any(vals[lo[i] .. hi[i]]); empty windows give False."""
+    cnt, _ = _window_counts(vals, lo, hi)
     return cnt > 0
 
 
-def _window_all_np(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    cnt, width = _window_counts_np(vals, lo, hi)
+def window_all(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """out[i] = all(vals[lo[i] .. hi[i]]); empty windows give True."""
+    cnt, width = _window_counts(vals, lo, hi)
     return cnt == width
 
 
@@ -73,213 +68,6 @@ def _next_index_at_or_after(mask: np.ndarray, n: int) -> np.ndarray:
     return nxt
 
 
-def _until_scan_np(
-    f1: np.ndarray, f2: np.ndarray, lo: np.ndarray, hi: np.ndarray, strict: bool
-) -> np.ndarray:
-    n = f1.shape[0]
-    # reach[i]: last index of the f1-run starting at i (i - 1 when !f1[i]).
-    reach = _next_index_at_or_after(~f1, n)[:n] - 1
-    nxt2 = _next_index_at_or_after(f2, n)
-    cap = reach + 1 if strict else reach
-    b = np.minimum(np.clip(hi, -1, n - 1), cap)
-    a = np.clip(lo, 0, n)
-    return (a <= b) & (nxt2[a] <= b)
-
-
-def _shift_bounds_np(times: np.ndarray, lo_shift: float, hi_shift: float):
-    lo = np.searchsorted(times, times + lo_shift, side="left")
-    hi = np.searchsorted(times, times + hi_shift, side="right") - 1
-    return lo.astype(np.int64), hi.astype(np.int64)
-
-
-_NUMPY_IMPL = {
-    "window_any": _window_any_np,
-    "window_all": _window_all_np,
-    "until_scan": _until_scan_np,
-    "shift_bounds": _shift_bounds_np,
-}
-
-_BACKENDS: dict[str, dict] = {"numpy": _NUMPY_IMPL}
-
-
-# ---------------------------------------------------------------------------
-# Numba implementation (optional at runtime).
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _window_any_nb(vals, lo, hi):  # pragma: no cover - compiled
-        n = vals.shape[0]
-        out = np.zeros(n, dtype=np.bool_)
-        left = 0
-        right = -1
-        cnt = 0
-        for i in range(n):
-            a = lo[i]
-            b = hi[i]
-            if b > n - 1:
-                b = n - 1
-            if a > b or a >= n:
-                continue
-            if a > right + 1:
-                left = a
-                right = a - 1
-                cnt = 0
-            while right < b:
-                right += 1
-                if vals[right]:
-                    cnt += 1
-            while left < a:
-                if vals[left]:
-                    cnt -= 1
-                left += 1
-            out[i] = cnt > 0
-        return out
-
-    @njit(cache=True)
-    def _window_all_nb(vals, lo, hi):  # pragma: no cover - compiled
-        n = vals.shape[0]
-        out = np.ones(n, dtype=np.bool_)
-        left = 0
-        right = -1
-        cnt = 0
-        for i in range(n):
-            a = lo[i]
-            b = hi[i]
-            if b > n - 1:
-                b = n - 1
-            if a > b or a >= n:
-                continue
-            if a > right + 1:
-                left = a
-                right = a - 1
-                cnt = 0
-            while right < b:
-                right += 1
-                if vals[right]:
-                    cnt += 1
-            while left < a:
-                if vals[left]:
-                    cnt -= 1
-                left += 1
-            out[i] = cnt == b - a + 1
-        return out
-
-    @njit(cache=True)
-    def _until_scan_nb(f1, f2, lo, hi, strict):  # pragma: no cover - compiled
-        n = f1.shape[0]
-        out = np.zeros(n, dtype=np.bool_)
-        reach = np.empty(n, dtype=np.int64)
-        nxt2 = np.empty(n + 1, dtype=np.int64)
-        nxt2[n] = n
-        for i in range(n - 1, -1, -1):
-            nxt2[i] = i if f2[i] else nxt2[i + 1]
-            if not f1[i]:
-                reach[i] = i - 1
-            elif i + 1 < n and f1[i + 1]:
-                reach[i] = reach[i + 1]
-            else:
-                reach[i] = i
-        for i in range(n):
-            a = lo[i]
-            b = hi[i]
-            if b > n - 1:
-                b = n - 1
-            cap = reach[i] + 1 if strict else reach[i]
-            if b > cap:
-                b = cap
-            if a <= b and a < n:
-                out[i] = nxt2[a] <= b
-        return out
-
-    @njit(cache=True)
-    def _shift_bounds_nb(times, lo_shift, hi_shift):  # pragma: no cover - compiled
-        # Targets times[i] + shift are sorted like times, so both bound
-        # pointers only ever move forward: O(n) instead of n binary searches.
-        n = times.shape[0]
-        lo = np.empty(n, dtype=np.int64)
-        hi = np.empty(n, dtype=np.int64)
-        j = 0
-        for i in range(n):
-            target = times[i] + lo_shift
-            while j < n and times[j] < target:
-                j += 1
-            lo[i] = j
-        k = 0
-        for i in range(n):
-            target = times[i] + hi_shift
-            while k < n and times[k] <= target:
-                k += 1
-            hi[i] = k - 1
-        return lo, hi
-
-    _BACKENDS["numba"] = {
-        "window_any": _window_any_nb,
-        "window_all": _window_all_nb,
-        "until_scan": _until_scan_nb,
-        "shift_bounds": _shift_bounds_nb,
-    }
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def _pick_backend(requested: str) -> str:
-    if requested == "auto":
-        return "numba" if "numba" in _BACKENDS else "numpy"
-    if requested not in _BACKENDS:
-        raise RuntimeError(
-            f"STLRANK_BACKEND={requested!r} is not available; "
-            f"choose from {available_backends()} or 'auto'"
-        )
-    return requested
-
-
-_active_name = _pick_backend(os.environ.get("STLRANK_BACKEND", "auto").strip().lower())
-_active = _BACKENDS[_active_name]
-
-
-def active_backend() -> str:
-    """Name of the implementation in use ("numba" or "numpy")."""
-    return _active_name
-
-
-def use_backend(name: str) -> str:
-    """Switch implementations at runtime; returns the previous name."""
-    global _active_name, _active
-    prev = _active_name
-    _active_name = _pick_backend(name.strip().lower())
-    _active = _BACKENDS[_active_name]
-    return prev
-
-
-def _as_bool(vals: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(vals, dtype=np.bool_)
-
-
-def _as_i64(idx: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(idx, dtype=np.int64)
-
-
-def window_any(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """out[i] = any(vals[lo[i] .. hi[i]]); empty windows give False."""
-    return _active["window_any"](_as_bool(vals), _as_i64(lo), _as_i64(hi))
-
-
-def window_all(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """out[i] = all(vals[lo[i] .. hi[i]]); empty windows give True."""
-    return _active["window_all"](_as_bool(vals), _as_i64(lo), _as_i64(hi))
-
-
 def until_scan(
     f1: np.ndarray, f2: np.ndarray, lo: np.ndarray, hi: np.ndarray, strict: bool = False
 ) -> np.ndarray:
@@ -287,20 +75,21 @@ def until_scan(
 
     With strict=True the f1 obligation stops just before j (f1 on i..j-1).
     """
-    return _active["until_scan"](
-        _as_bool(f1), _as_bool(f2), _as_i64(lo), _as_i64(hi), bool(strict)
-    )
+    f1 = np.asarray(f1, dtype=np.bool_)
+    n = f1.shape[0]
+    # reach[i]: last index of the f1-run starting at i (i - 1 when !f1[i]).
+    reach = _next_index_at_or_after(~f1, n)[:n] - 1
+    nxt2 = _next_index_at_or_after(np.asarray(f2, dtype=np.bool_), n)
+    cap = reach + 1 if strict else reach
+    b = np.minimum(np.clip(np.asarray(hi, dtype=np.int64), -1, n - 1), cap)
+    a = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    return (a <= b) & (nxt2[a] <= b)
 
 
 def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float):
     """Inclusive index bounds of the window [t + lo_shift, t + hi_shift]
     around every sample time t; bounds past the ends mark empty windows."""
-    t = np.ascontiguousarray(times, dtype=np.float64)
-    return _active["shift_bounds"](t, float(lo_shift), float(hi_shift))
-
-
-def backend_impl(name: str) -> dict:
-    """Raw kernel table for one backend (tests and benchmarks only)."""
-    if name not in _BACKENDS:
-        raise RuntimeError(f"backend {name!r} not available")
-    return dict(_BACKENDS[name])
+    t = np.asarray(times, dtype=np.float64)
+    lo = np.searchsorted(t, t + float(lo_shift), side="left")
+    hi = np.searchsorted(t, t + float(hi_shift), side="right") - 1
+    return lo.astype(np.int64), hi.astype(np.int64)

@@ -30,9 +30,14 @@ it costs O(n^2) per temporal operator and is only meant for short traces.
 `eval_fast` computes one boolean array per subformula, bottom-up. Bounded
 and unbounded F/G windows become one sliding-window any/all pass over the
 array, and U becomes one run-length plus next-witness scan, so every
-operator costs O(n) and the whole evaluation is O(n * |formula|). The array
-passes live in `kernels` (numba or numpy, selected by STLRANK_BACKEND).
+operator costs O(n log n) at worst and the whole evaluation is
+O(n log n * |formula|). The array passes live in `kernels`.
 Both evaluators agree bit for bit at every sample time.
+
+Both evaluators, and the grounded evaluator of propositional expansion, read
+terms through `eval_term` and comparisons through `eval_predicate`; numpy
+arithmetic treats a channel's whole grid and a single sample alike, so the
+term and comparison semantics are defined once.
 """
 
 from __future__ import annotations
@@ -120,17 +125,20 @@ def _values_on_grid(w: TraceSet, name: str, grid: np.ndarray) -> np.ndarray:
     return tr.values[pos]
 
 
-def _expr_on_grid(e, w: TraceSet, grid: np.ndarray) -> np.ndarray:
+def eval_term(e, value_of):
+    """Value of an arithmetic term. `value_of(name)` gives a channel's value,
+    a float at one sample time or an array over a grid; a term that
+    mentions no channel comes out as a float."""
     if isinstance(e, Const):
-        return np.full(grid.size, e.value, dtype=np.float64)
+        return e.value
     if isinstance(e, Var):
-        return _values_on_grid(w, e.name, grid)
+        return value_of(e.name)
     if isinstance(e, Neg):
-        return -_expr_on_grid(e.operand, w, grid)
+        return -eval_term(e.operand, value_of)
     if isinstance(e, Abs):
-        return np.abs(_expr_on_grid(e.operand, w, grid))
-    left = _expr_on_grid(e.left, w, grid)
-    right = _expr_on_grid(e.right, w, grid)
+        return abs(eval_term(e.operand, value_of))
+    left = eval_term(e.left, value_of)
+    right = eval_term(e.right, value_of)
     if isinstance(e, Add):
         return left + right
     if isinstance(e, Sub):
@@ -140,8 +148,10 @@ def _expr_on_grid(e, w: TraceSet, grid: np.ndarray) -> np.ndarray:
     raise FormulaError(f"not a term: {e!r}")
 
 
-def _predicate_on_grid(p: Predicate, w: TraceSet, grid: np.ndarray) -> np.ndarray:
-    diff = _expr_on_grid(p.lhs, w, grid) - _expr_on_grid(p.rhs, w, grid)
+def eval_predicate(p: Predicate, value_of):
+    """Truth of `lhs op rhs`, a bool or a boolean array like `eval_term`;
+    == and != compare |lhs - rhs| with the predicate's tolerance."""
+    diff = eval_term(p.lhs, value_of) - eval_term(p.rhs, value_of)
     if p.op == "<":
         return diff < 0.0
     if p.op == "<=":
@@ -151,8 +161,8 @@ def _predicate_on_grid(p: Predicate, w: TraceSet, grid: np.ndarray) -> np.ndarra
     if p.op == ">=":
         return diff >= 0.0
     if p.op == "==":
-        return np.abs(diff) <= p.eq_tolerance
-    return np.abs(diff) > p.eq_tolerance
+        return abs(diff) <= p.eq_tolerance
+    return abs(diff) > p.eq_tolerance
 
 
 def _window_bounds(grid: np.ndarray, interval: Interval):
@@ -166,7 +176,9 @@ def _node_on_grid(f: Formula, w: TraceSet, grid: np.ndarray, strict: bool) -> np
     if isinstance(f, FalseFormula):
         return np.zeros(grid.size, dtype=np.bool_)
     if isinstance(f, Atom):
-        return _predicate_on_grid(f.predicate, w, grid)
+        out = eval_predicate(f.predicate, lambda name: _values_on_grid(w, name, grid))
+        # Only a comparison between constants comes out as a single bool.
+        return out if isinstance(out, np.ndarray) else np.full(grid.size, out)
     if isinstance(f, Not):
         return ~_node_on_grid(f.operand, w, grid, strict)
     if isinstance(f, And):
@@ -202,44 +214,19 @@ def eval_fast(f: Formula, w: TraceSet, *, until_strict: bool = False) -> Verdict
 # Reference evaluator.
 # ---------------------------------------------------------------------------
 
+def _value_at(w: TraceSet, name: str, t: int) -> float:
+    if name not in w:
+        raise UnknownChannelError(f"unknown channel {name!r}")
+    tr = w[name]
+    if not tr.has_time(t):
+        raise SampleTimeError(f"channel {name!r} has no sample at t={t}")
+    return tr.value_at(t)
+
+
 def eval_expr(e, w: TraceSet, t: int) -> float:
     """Value of a term at sample time t (t must be sampled by every channel
     the term mentions)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.name not in w:
-            raise UnknownChannelError(f"unknown channel {e.name!r}")
-        tr = w[e.name]
-        if not tr.has_time(t):
-            raise SampleTimeError(f"channel {e.name!r} has no sample at t={t}")
-        return tr.value_at(t)
-    if isinstance(e, Neg):
-        return -eval_expr(e.operand, w, t)
-    if isinstance(e, Abs):
-        return abs(eval_expr(e.operand, w, t))
-    if isinstance(e, Add):
-        return eval_expr(e.left, w, t) + eval_expr(e.right, w, t)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, w, t) - eval_expr(e.right, w, t)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, w, t) * eval_expr(e.right, w, t)
-    raise FormulaError(f"not a term: {e!r}")
-
-
-def _pred_at(p: Predicate, w: TraceSet, t: int) -> bool:
-    diff = eval_expr(p.lhs, w, t) - eval_expr(p.rhs, w, t)
-    if p.op == "<":
-        return diff < 0.0
-    if p.op == "<=":
-        return diff <= 0.0
-    if p.op == ">":
-        return diff > 0.0
-    if p.op == ">=":
-        return diff >= 0.0
-    if p.op == "==":
-        return abs(diff) <= p.eq_tolerance
-    return abs(diff) > p.eq_tolerance
+    return eval_term(e, lambda name: _value_at(w, name, t))
 
 
 def _window_slice(grid: np.ndarray, t: int, interval: Interval):
@@ -255,7 +242,7 @@ def _naive(f: Formula, w: TraceSet, grid: np.ndarray, i: int, strict: bool) -> b
     if isinstance(f, FalseFormula):
         return False
     if isinstance(f, Atom):
-        return _pred_at(f.predicate, w, t)
+        return eval_predicate(f.predicate, lambda name: _value_at(w, name, t))
     if isinstance(f, Not):
         return not _naive(f.operand, w, grid, i, strict)
     if isinstance(f, And):

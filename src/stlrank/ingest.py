@@ -162,11 +162,8 @@ class Dataset:
 
     @property
     def categories(self) -> list[str]:
-        out: list[str] = []
-        for rec in self.records:
-            if rec.category not in out:
-                out.append(rec.category)
-        return out
+        """Distinct categories in first-seen order."""
+        return list(dict.fromkeys(rec.category for rec in self.records))
 
     def by_category(self) -> dict[str, list[ProductRecord]]:
         out: dict[str, list[ProductRecord]] = {}
@@ -255,6 +252,26 @@ def _parse_count(text: str, column: str, row: int) -> int:
     if value < 0:
         raise SchemaError(f"row {row}: column {column!r}: negative count {value}")
     return value
+
+
+def _json_position(value, i: int, row: int) -> float:
+    if type(value) in (int, float):  # bool is an int subclass, not a number here
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(f"row {row}: column 'pos_{i}': not a number: {value!r}")
+
+
+def _json_positions(values: list, row: int) -> list[float]:
+    """A JSONL row's positions as floats; each entry must be a JSON number
+    within float range."""
+    if {type(v) for v in values} <= {int, float}:
+        try:
+            return [float(v) for v in values]
+        except OverflowError:
+            pass
+    return [_json_position(v, i, row) for i, v in enumerate(values)]
 
 
 def _record_from_fields(
@@ -349,7 +366,7 @@ def _load_jsonl(path: str, days: int) -> Dataset:
                 _record_from_fields(
                     product_id=str(obj["product_id"]),
                     category=str(obj["category"]),
-                    positions=[float(p) for p in positions],
+                    positions=_json_positions(positions, line_no),
                     impressions=obj["impressions"],
                     clicks=obj["clicks"],
                     purchases=obj["purchases"],
@@ -373,14 +390,15 @@ def load_dataset(path, fmt: str | None = None, days: int = DAYS_DEFAULT) -> Data
 
 def write_csv(ds: Dataset, path: str) -> None:
     days = len(ds.records[0].positions) if ds.records else DAYS_DEFAULT
-    lines = [",".join(_header(days))]
-    for rec in ds.records:
-        row = [rec.product_id, rec.category]
-        row += [_format_pos(p) for p in rec.positions]
-        row += [str(rec.impressions), str(rec.clicks), str(rec.purchases)]
-        lines.append(",".join(row))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_header(days))
+        writer.writerows(
+            [rec.product_id, rec.category]
+            + [_format_pos(p) for p in rec.positions]
+            + [rec.impressions, rec.clicks, rec.purchases]
+            for rec in ds.records
+        )
 
 
 def write_jsonl(ds: Dataset, path: str) -> None:
@@ -406,11 +424,10 @@ def write_labels(ds: Dataset, path: str) -> None:
     """Planted-pattern sidecar: product_id,planted_pattern per record."""
     if ds.planted is None:
         raise DatasetError("dataset carries no planted-pattern labels")
-    lines = ["product_id,planted_pattern"]
-    for rec in ds.records:
-        lines.append(f"{rec.product_id},{ds.planted[rec.product_id]}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["product_id", "planted_pattern"])
+        writer.writerows([rec.product_id, ds.planted[rec.product_id]] for rec in ds.records)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,18 @@ form shown in the docs, for example `G[0,3](x <= 0)`), and
 `parse_formula(print_formula(f))` returns a structurally equal formula.
 Equality tolerances are not part of the surface syntax; `parse_formula`
 applies its `eq_tolerance` argument to every `==`/`!=` atom it builds.
+
+Nesting is bounded by MAX_DEPTH, so every formula that parses can also be
+evaluated and printed within Python's default recursion limit. The parser
+recurses only into brackets and reads runs of prefix operators and `->`
+chains in loops; the depth of the tree is checked once it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .core.formula import (
     Abs,
@@ -59,7 +65,11 @@ from .core.formula import (
     Var,
 )
 
-__all__ = ["ParseError", "SourceSpan", "parse_formula", "print_formula"]
+__all__ = ["MAX_DEPTH", "ParseError", "SourceSpan", "parse_formula", "print_formula"]
+
+#: Deepest nesting `parse_formula` accepts: brackets nest at most this deep,
+#: and no root-to-leaf path of the result has more formula and term nodes.
+MAX_DEPTH = 100
 
 _RESERVED = {"true", "false", "inf", "abs", "G", "F", "U"}
 
@@ -140,6 +150,7 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.eq_tolerance = eq_tolerance
 
     # -- token helpers ---------------------------------------------------
@@ -166,6 +177,14 @@ class _Parser:
     def _describe(tok: _Token) -> str:
         return "end of input" if tok.kind == "eof" else f"token {tok.text!r}"
 
+    def open_bracket(self) -> None:
+        """Consume a "("; the caller closes it with `self.depth -= 1` after
+        the matching ")"."""
+        tok = self.expect_op("(")
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"brackets nest deeper than {MAX_DEPTH} levels", tok.span)
+        self.depth += 1
+
     # -- grammar ---------------------------------------------------------
 
     def parse(self) -> Formula:
@@ -173,14 +192,21 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {self._describe(tok)}", tok.span)
+        if _height(f) > MAX_DEPTH:
+            raise ParseError(
+                f"formula nests deeper than {MAX_DEPTH} levels", SourceSpan(0, len(self.src))
+            )
         return f
 
     def implies(self) -> Formula:
-        left = self.or_()
-        if self.at_op("->"):
+        operands = [self.or_()]
+        while self.at_op("->"):
             self.advance()
-            return Implies(left, self.implies())
-        return left
+            operands.append(self.or_())
+        f = operands.pop()
+        for left in reversed(operands):
+            f = Implies(left, f)
+        return f
 
     def or_(self) -> Formula:
         f = self.and_()
@@ -197,16 +223,22 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if self.at_op("!"):
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "ident" and tok.text in ("G", "F"):
-            self.advance()
-            interval = self.interval_opt()
-            body = self.unary()
-            return Globally(interval, body) if tok.text == "G" else Eventually(interval, body)
-        return self.atom_or_until()
+        prefixes = []
+        while True:
+            tok = self.peek()
+            if self.at_op("!"):
+                self.advance()
+                prefixes.append(Not)
+            elif tok.kind == "ident" and tok.text in ("G", "F"):
+                self.advance()
+                op = Globally if tok.text == "G" else Eventually
+                prefixes.append(partial(op, self.interval_opt()))
+            else:
+                break
+        f = self.atom_or_until()
+        for wrap in reversed(prefixes):
+            f = wrap(f)
+        return f
 
     def atom_or_until(self) -> Formula:
         left = self.primary()
@@ -230,14 +262,15 @@ class _Parser:
             # Could open a subformula or a parenthesized arithmetic term;
             # try the formula reading and fall back to a comparison,
             # keeping whichever error got further into the input.
-            mark = self.pos
+            mark = self.pos, self.depth
             try:
-                self.advance()
+                self.open_bracket()
                 inner = self.implies()
                 self.expect_op(")")
+                self.depth -= 1
                 return inner
             except ParseError as formula_err:
-                self.pos = mark
+                self.pos, self.depth = mark
                 try:
                     return self.comparison()
                 except ParseError as cmp_err:
@@ -276,19 +309,24 @@ class _Parser:
         return e
 
     def factor(self):
-        tok = self.peek()
-        if self.at_op("-"):
+        signs = 0
+        while self.at_op("-"):
             self.advance()
-            operand = self.factor()
+            signs += 1
+        e = self.operand()
+        for _ in range(signs):
             # Fold a sign applied directly to a literal so that printed
             # negative constants reparse to the same node.
-            if isinstance(operand, Const):
-                return Const(-operand.value)
-            return Neg(operand)
+            e = Const(-e.value) if isinstance(e, Const) else Neg(e)
+        return e
+
+    def operand(self):
+        tok = self.peek()
         if self.at_op("("):
-            self.advance()
+            self.open_bracket()
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         if tok.kind == "num":
             self.advance()
@@ -296,9 +334,10 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "abs":
                 self.advance()
-                self.expect_op("(")
+                self.open_bracket()
                 e = self.expr()
                 self.expect_op(")")
+                self.depth -= 1
                 return Abs(e)
             if tok.text == "d1":
                 self.advance()
@@ -348,6 +387,27 @@ class _Parser:
                 SourceSpan(open_tok.start, close_tok.end),
             )
         return Interval(lo, hi)
+
+
+def _children(node) -> tuple:
+    if isinstance(node, Atom):
+        return (node.predicate.lhs, node.predicate.rhs)
+    if isinstance(node, (Not, Neg, Abs, Eventually, Globally)):
+        return (node.operand,)
+    if isinstance(node, (And, Or, Implies, Until, Add, Sub, Mul)):
+        return (node.left, node.right)
+    return ()
+
+
+def _height(f: Formula) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    best = 0
+    stack = [(f, 1)]
+    while stack:
+        node, h = stack.pop()
+        best = max(best, h)
+        stack.extend((c, h + 1) for c in _children(node))
+    return best
 
 
 def parse_formula(src: str, *, eq_tolerance: float = 1e-9) -> Formula:

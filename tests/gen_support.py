@@ -1,12 +1,14 @@
-"""Seeded random generators shared by the oracle-equivalence tests.
+"""Random generators shared by the oracle-equivalence tests: seeded numpy
+generators, and Hypothesis strategies for the differential tests.
 
-Formulas built here round-trip through the printer and parser as equal
-ASTs, so the generators avoid the two shapes the parser normalizes away:
-a negation applied directly to a constant (folded into a signed constant)
-and constants whose repr uses exponent notation.
+Formulas built by the seeded generators round-trip through the printer and
+parser as equal ASTs, so they avoid the two shapes the parser normalizes
+away: a negation applied directly to a constant (folded into a signed
+constant) and constants whose repr uses exponent notation.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from stlrank import (
     Abs,
@@ -123,3 +125,73 @@ def random_traceset(rng, channels, max_len=20):
         times = np.arange(n, dtype=np.int64) * step
         traces.append(Trace(name, times, random_values(rng, n)))
     return TraceSet(traces)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies.
+# ---------------------------------------------------------------------------
+
+def st_terms(channels):
+    consts = st.one_of(
+        st.integers(-9, 9).map(float),
+        st.integers(-100, 100).map(lambda v: v / 4),
+    ).map(Const)
+    leaves = st.one_of(consts, st.sampled_from(channels).map(Var))
+    return st.recursive(
+        leaves,
+        lambda t: st.one_of(
+            st.builds(Add, t, t),
+            st.builds(Sub, t, t),
+            st.builds(Mul, t, t),
+            st.builds(Neg, t),
+            st.builds(Abs, t),
+        ),
+        max_leaves=3,
+    )
+
+
+def st_predicates(channels):
+    return st.builds(
+        Predicate,
+        st_terms(channels),
+        st.sampled_from(COMPARISONS),
+        st_terms(channels),
+        st.sampled_from([1e-9, 0.5, 1.0, 3.0]),
+    )
+
+
+@st.composite
+def st_intervals(draw):
+    """Integral, half-offset fractional and unbounded windows."""
+    lo = draw(st.integers(0, 3)) + draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):
+        return Interval(lo, float("inf"))
+    return Interval(lo, lo + draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])))
+
+
+def st_formulas(channels):
+    """Until-free formulas, which propositional expansion can ground."""
+    leaves = st.one_of(st.just(TRUE), st.just(FALSE), st_predicates(channels).map(Atom))
+    return st.recursive(
+        leaves,
+        lambda f: st.one_of(
+            st.builds(Not, f),
+            st.builds(And, f, f),
+            st.builds(Or, f, f),
+            st.builds(Implies, f, f),
+            st.builds(Eventually, st_intervals(), f),
+            st.builds(Globally, st_intervals(), f),
+        ),
+        max_leaves=6,
+    )
+
+
+def st_positions(max_len=10):
+    """Daily positions with unranked (-1) days, as `traceset_from_positions`
+    takes them."""
+    day = st.one_of(
+        st.just(-1.0),
+        st.integers(1, 12).map(float),
+        st.integers(2, 24).map(lambda v: v / 2),
+    )
+    return st.lists(day, min_size=2, max_size=max_len)

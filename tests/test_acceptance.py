@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with -s to watch them) and then
 asserts, so a red run still names the criterion that broke. Random corpora
-use pinned seeds; timed sections warm the jitted kernels first.
+use pinned seeds; timed sections run the evaluator once before timing.
 """
 
 import statistics

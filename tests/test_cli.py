@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from stlrank.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture()
@@ -47,6 +53,12 @@ def test_check_rejects_bad_interval(dataset, capsys):
     assert "non-singular" in capsys.readouterr().err
 
 
+def test_check_rejects_deep_nesting(dataset, capsys):
+    code = main(["check", "-i", str(dataset), "--formula", "!" * 3000 + "(x < 1)"])
+    assert code == 2
+    assert "deeper than" in capsys.readouterr().err
+
+
 def test_check_rejects_override_with_formula(dataset, capsys):
     code = main(
         ["check", "-i", str(dataset), "--formula", "G(x < 0)", "--w", "2"]
@@ -57,6 +69,42 @@ def test_check_rejects_override_with_formula(dataset, capsys):
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = main(["check", "-i", str(tmp_path / "nope.csv"), "--property", "ditch"])
     assert code == 1
+
+
+@pytest.mark.parametrize("module", ["stlrank", "stlrank.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout.startswith("stlrank ")
+    missing = run("rates", "-i", "missing.csv")
+    assert missing.returncode == 1
+    assert "missing.csv" in missing.stderr
+
+
+@pytest.mark.parametrize("entry", ["null", "[1]", '"abc"', '"5"', "true", "1" + "0" * 400])
+def test_jsonl_positions_must_be_numbers(entry, tmp_path, capsys):
+    positions = ["5"] * 13 + [entry]
+    row = (
+        '{"product_id":"p1","category":"c0","positions":[' + ",".join(positions) + "],"
+        '"impressions":1,"clicks":0,"purchases":0}'
+    )
+    good = tmp_path / "good.jsonl"
+    good.write_text(row.replace(entry, "7", 1) + "\n")
+    assert main(["check", "-i", str(good), "--property", "ditch"]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(row + "\n")
+    assert main(["check", "-i", str(bad), "--property", "ditch"]) == 2
+    err = capsys.readouterr().err
+    assert "row 1" in err and "'pos_13'" in err
 
 
 def test_usage_error_exit_code(capsys):

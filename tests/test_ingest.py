@@ -85,6 +85,32 @@ def test_csv_roundtrip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_quotes_text_fields_and_round_trips(tmp_path):
+    ds = Dataset(
+        [
+            record([5.0] * 14, pid='a,"b', category="c,1"),
+            record([5.0] * 14, pid="line\nbreak", category='say "hi"'),
+            record([-1.0] + [2.5] * 13, pid="plain", category="c0"),
+        ],
+        planted={'a,"b': "flat", "line\nbreak": "flat", "plain": "missing"},
+    )
+    p1 = tmp_path / "a.csv"
+    p2 = tmp_path / "b.csv"
+    write_csv(ds, str(p1))
+    loaded = load_dataset(str(p1))
+    assert [r.product_id for r in loaded] == ['a,"b', "line\nbreak", "plain"]
+    assert loaded.categories == ["c,1", 'say "hi"', "c0"]
+    write_csv(loaded, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes().splitlines()[1].startswith(b'"a,""b","c,1",5,')
+
+    labels = tmp_path / "a.labels.csv"
+    write_labels(ds, str(labels))
+    assert labels.read_bytes() == (
+        b'product_id,planted_pattern\n"a,""b",flat\n"line\nbreak",flat\nplain,missing\n'
+    )
+
+
 def test_jsonl_roundtrip_is_byte_identical(tmp_path):
     ds = generate(
         GeneratorConfig(n_records=80, pattern_mix={"missing": 0.5, "random": 0.5}, seed=6)

@@ -1,5 +1,4 @@
-"""Window and until kernels against brute-force references, on both
-backends when numba is importable."""
+"""Window and until kernels against brute-force references."""
 
 import numpy as np
 import pytest
@@ -48,32 +47,25 @@ def random_bounds(rng, n):
     return lo, hi.astype(np.int64)
 
 
-BACKENDS = kernels.available_backends()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_window_kernels_match_brute_force(backend):
-    impl = kernels.backend_impl(backend)
+def test_window_kernels_match_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, 40))
         values = rng.random(n) < 0.4
         lo, hi = random_bounds(rng, n)
-        assert np.array_equal(impl["window_any"](values, lo, hi), brute_window_any(values, lo, hi))
-        assert np.array_equal(impl["window_all"](values, lo, hi), brute_window_all(values, lo, hi))
+        assert np.array_equal(kernels.window_any(values, lo, hi), brute_window_any(values, lo, hi))
+        assert np.array_equal(kernels.window_all(values, lo, hi), brute_window_all(values, lo, hi))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("strict", [False, True])
-def test_until_kernel_matches_brute_force(backend, strict):
-    impl = kernels.backend_impl(backend)
+def test_until_kernel_matches_brute_force(strict):
     rng = np.random.default_rng(13)
     for _ in range(200):
         n = int(rng.integers(1, 40))
         f1 = rng.random(n) < 0.6
         f2 = rng.random(n) < 0.3
         lo, hi = random_bounds(rng, n)
-        got = impl["until_scan"](f1, f2, lo, hi, strict)
+        got = kernels.until_scan(f1, f2, lo, hi, strict)
         want = brute_until(f1, f2, lo, hi, strict)
         assert np.array_equal(got, want)
 
@@ -88,21 +80,7 @@ def test_empty_windows_use_quantifier_identity():
     assert out[0]
 
 
-def test_backend_selection_roundtrip():
-    original = kernels.active_backend()
-    try:
-        for name in BACKENDS:
-            kernels.use_backend(name)
-            assert kernels.active_backend() == name
-    finally:
-        kernels.use_backend(original)
-    with pytest.raises(RuntimeError):
-        kernels.use_backend("cuda")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_shift_bounds_matches_searchsorted(backend):
-    impl = kernels.backend_impl(backend)
+def test_shift_bounds_matches_searchsorted():
     rng = np.random.default_rng(31)
     shifts = [0.0, 0.5, 1.0, 2.5, 7.0, float("inf")]
     for _ in range(100):
@@ -111,27 +89,10 @@ def test_shift_bounds_matches_searchsorted(backend):
         times = np.cumsum(np.full(n, step))
         lo_shift = float(rng.choice(shifts[:-1]))
         hi_shift = lo_shift + float(rng.choice(shifts))
-        lo, hi = impl["shift_bounds"](times, lo_shift, hi_shift)
+        lo, hi = kernels.shift_bounds(times, lo_shift, hi_shift)
         ref_lo = np.searchsorted(times, times + lo_shift, side="left")
         ref_hi = np.searchsorted(times, times + hi_shift, side="right") - 1
         assert np.array_equal(lo, ref_lo)
         assert np.array_equal(hi, ref_hi)
         assert lo.dtype == np.int64 and hi.dtype == np.int64
 
-
-def test_backends_agree_on_equal_inputs():
-    if len(BACKENDS) < 2:
-        pytest.skip("only one backend available")
-    rng = np.random.default_rng(17)
-    impls = [kernels.backend_impl(b) for b in BACKENDS]
-    for _ in range(100):
-        n = int(rng.integers(1, 64))
-        f1 = rng.random(n) < 0.5
-        f2 = rng.random(n) < 0.5
-        lo, hi = random_bounds(rng, n)
-        outs_any = [impl["window_any"](f1, lo, hi) for impl in impls]
-        outs_until = [impl["until_scan"](f1, f2, lo, hi, False) for impl in impls]
-        for a, b in zip(outs_any, outs_any[1:]):
-            assert np.array_equal(a, b)
-        for a, b in zip(outs_until, outs_until[1:]):
-            assert np.array_equal(a, b)

@@ -17,9 +17,13 @@ from stlrank import (
     TRUE,
     Until,
     Var,
+    eval_fast,
+    eval_naive,
     parse_formula,
     print_formula,
+    traceset_from_positions,
 )
+from stlrank.parser import MAX_DEPTH
 from gen_support import random_formula
 
 
@@ -162,3 +166,30 @@ def test_roundtrip_on_source_text():
     for src in sources:
         f = parse_formula(src)
         assert parse_formula(print_formula(f)) == f
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        # An Atom over a Var and a Const is two levels of the tree.
+        lambda k: "!" * (k - 2) + "x < 1",
+        lambda k: "G[0,1]" * (k - 2) + "(x < 1)",
+        lambda k: "x < " + "-" * (k - 2) + "x",
+        lambda k: " & ".join(["x < 1"] * (k - 1)),
+        lambda k: "x < 1 -> " * (k - 2) + "x < 1",
+        lambda k: "(" * k + "x < 1" + ")" * k,
+        lambda k: "(" * k + "x" + ")" * k + " < 1",
+        lambda k: "abs(" * (k - 2) + "x" + ")" * (k - 2) + " < 1",
+    ],
+)
+def test_nesting_is_bounded(nest):
+    """A formula at MAX_DEPTH parses, evaluates, prints and reparses; one
+    level deeper, or thousands, is a ParseError instead of a RecursionError."""
+    w = traceset_from_positions([3.0, 2.0, 1.0])
+    f = parse_formula(nest(MAX_DEPTH))
+    assert eval_fast(f, w).satisfied == eval_naive(f, w)
+    assert parse_formula(print_formula(f)) == f
+    for k in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError) as err:
+            parse_formula(nest(k))
+        assert f"deeper than {MAX_DEPTH} levels" in str(err.value)
