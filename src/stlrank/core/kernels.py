@@ -10,14 +10,16 @@ past the end) produce the quantifier identity: False for "any", True for
 The window queries read a running count off one prefix sum, the boolean
 degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046), in O(n).
 The until scan combines run lengths of the left operand with next-witness
-indices of the right one, and the bounds come from searchsorted over the
-grid, both O(n log n).
+indices of the right one, O(n log n). Window bounds on an integer day grid
+come from a prefix count over the day range in O(n).
 
 The evaluator calls every kernel as an attribute of this module
 (`kernels.window_any(...)`), so a profiler can wrap them here.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,26 +37,48 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _window_counts(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    vals = np.asarray(vals, dtype=np.bool_)
+# Window queries run over blocks of this many positions, so their index
+# temporaries stay small and cache-resident: a fresh array of a few hundred
+# kilobytes pays its page faults again on every call, a cost that grows
+# faster than n.
+_BLOCK = 8192
+
+
+def _any_in_windows(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     n = vals.shape[0]
-    csum = np.zeros(n + 1, dtype=np.int64)
+    csum = np.zeros(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
     np.cumsum(vals, out=csum[1:])
-    a = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
-    b = np.clip(np.asarray(hi, dtype=np.int64) + 1, a, n)
-    return csum[b] - csum[a], b - a
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    m = lo.shape[0]
+    out = np.empty(m, dtype=np.bool_)
+    k = min(m, _BLOCK)
+    a_buf, b_buf = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    ca_buf, cb_buf = np.empty(k, dtype=csum.dtype), np.empty(k, dtype=csum.dtype)
+    for s in range(0, m, _BLOCK):
+        e = min(s + _BLOCK, m)
+        a, b, ca, cb = a_buf[: e - s], b_buf[: e - s], ca_buf[: e - s], cb_buf[: e - s]
+        np.maximum(lo[s:e], 0, out=a)
+        np.minimum(a, n, out=a)
+        np.add(hi[s:e], 1, out=b)
+        np.maximum(b, a, out=b)
+        np.minimum(b, n, out=b)
+        # Indices are in 0..n now, so mode="clip" changes nothing and spares
+        # take its bounds check.
+        np.take(csum, a, out=ca, mode="clip")
+        np.take(csum, b, out=cb, mode="clip")
+        np.greater(cb, ca, out=out[s:e])
+    return out
 
 
 def window_any(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """out[i] = any(vals[lo[i] .. hi[i]]); empty windows give False."""
-    cnt, _ = _window_counts(vals, lo, hi)
-    return cnt > 0
+    return _any_in_windows(np.asarray(vals, dtype=np.bool_), lo, hi)
 
 
 def window_all(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """out[i] = all(vals[lo[i] .. hi[i]]); empty windows give True."""
-    cnt, width = _window_counts(vals, lo, hi)
-    return cnt == width
+    return ~_any_in_windows(~np.asarray(vals, dtype=np.bool_), lo, hi)
 
 
 def _next_index_at_or_after(mask: np.ndarray, n: int) -> np.ndarray:
@@ -81,15 +105,70 @@ def until_scan(
     reach = _next_index_at_or_after(~f1, n)[:n] - 1
     nxt2 = _next_index_at_or_after(np.asarray(f2, dtype=np.bool_), n)
     cap = reach + 1 if strict else reach
-    b = np.minimum(np.clip(np.asarray(hi, dtype=np.int64), -1, n - 1), cap)
-    a = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
+    # np.maximum/np.minimum in place: np.clip costs microseconds per call on
+    # the short arrays of one record, and a fresh array on long ones.
+    b = np.maximum(np.asarray(hi, dtype=np.int64), -1)
+    np.minimum(b, n - 1, out=b)
+    np.minimum(b, cap, out=b)
+    a = np.maximum(np.asarray(lo, dtype=np.int64), 0)
+    np.minimum(a, n, out=a)
     return (a <= b) & (nxt2[a] <= b)
 
 
 def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float):
     """Inclusive index bounds of the window [t + lo_shift, t + hi_shift]
-    around every sample time t; bounds past the ends mark empty windows."""
-    t = np.asarray(times, dtype=np.float64)
-    lo = np.searchsorted(t, t + float(lo_shift), side="left")
-    hi = np.searchsorted(t, t + float(hi_shift), side="right") - 1
+    around every sample time t; bounds past the ends mark empty windows.
+
+    Integer times spanning at most _DENSE_SPAN_FACTOR times their count read
+    the bounds off a prefix count over the day range, in O(n); other grids
+    fall back to searchsorted.
+    """
+    t = np.asarray(times)
+    n = t.shape[0]
+    if n and t.dtype.kind in "iu":
+        t = t.astype(np.int64, copy=False)
+        t0 = int(t[0])
+        span = int(t[-1]) - t0 + 1
+        if span <= _DENSE_SPAN_FACTOR * n + 64:
+            return _dense_shift_bounds(t, t0, span, float(lo_shift), float(hi_shift))
+    tf = t.astype(np.float64)
+    lo = np.searchsorted(tf, tf + float(lo_shift), side="left")
+    hi = np.searchsorted(tf, tf + float(hi_shift), side="right") - 1
     return lo.astype(np.int64), hi.astype(np.int64)
+
+
+_DENSE_SPAN_FACTOR = 4
+
+
+def _dense_shift_bounds(t: np.ndarray, t0: int, span: int, lo_shift: float, hi_shift: float):
+    # On integer days, samples < t + lo_shift sit at day offsets
+    # <= t - t0 + ceil(lo_shift) - 1 and samples <= t + hi_shift at offsets
+    # <= t - t0 + floor(hi_shift). With le[d + 1] the number of samples at
+    # offsets <= d, the bounds are le[t - t0 + ceil(lo_shift)] and
+    # le[t - t0 + floor(hi_shift) + 1] - 1, the indices clipped to 0..span.
+    lo_idx = _shifted_index(t, t0, math.ceil(_clamp(lo_shift, span)), span)
+    hi_idx = _shifted_index(t, t0, math.floor(_clamp(hi_shift, span)) + 1, span)
+    if span == t.shape[0]:
+        # Gap-free grid: le[k] = k.
+        hi_idx -= 1
+        return lo_idx, hi_idx
+    le = np.zeros(span + 1, dtype=np.int64)
+    np.cumsum(np.bincount(t - t0, minlength=span), out=le[1:])
+    np.take(le, lo_idx, out=lo_idx, mode="clip")
+    np.take(le, hi_idx, out=hi_idx, mode="clip")
+    hi_idx -= 1
+    return lo_idx, hi_idx
+
+
+def _clamp(shift: float, span: int) -> float:
+    """A shift past the whole day range acts like one just past it; this
+    keeps infinite shifts out of integer arithmetic."""
+    return min(max(shift, -span - 1.0), span + 1.0)
+
+
+def _shifted_index(t: np.ndarray, t0: int, k: int, span: int) -> np.ndarray:
+    """t - t0 + k clipped to 0..span, as a fresh array."""
+    out = t - np.int64(t0 - k)
+    np.maximum(out, 0, out=out)
+    np.minimum(out, span, out=out)
+    return out

@@ -167,7 +167,7 @@ def eval_predicate(p: Predicate, value_of):
 
 def _window_bounds(grid: np.ndarray, interval: Interval):
     """Inclusive index bounds of t + I around every grid position."""
-    return kernels.shift_bounds(grid.astype(np.float64), interval.lo, interval.hi)
+    return kernels.shift_bounds(grid, interval.lo, interval.hi)
 
 
 def _node_on_grid(f: Formula, w: TraceSet, grid: np.ndarray, strict: bool) -> np.ndarray:
