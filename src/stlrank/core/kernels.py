@@ -10,8 +10,8 @@ past the end) produce the quantifier identity: False for "any", True for
 The window queries read a running count off one prefix sum, the boolean
 degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046), in O(n).
 The until scan combines run lengths of the left operand with next-witness
-indices of the right one, O(n log n). Window bounds on an integer day grid
-come from a prefix count over the day range in O(n).
+indices of the right one, O(n log n). Window bounds on a gap-free day grid
+are index offsets, O(n); other grids use searchsorted, O(n log n).
 
 The evaluator calls every kernel as an attribute of this module
 (`kernels.window_any(...)`), so a profiler can wrap them here.
@@ -37,37 +37,34 @@ def active_backend() -> str:
     return "numpy"
 
 
-# Window queries run over blocks of this many positions, so their index
-# temporaries stay small and cache-resident: a fresh array of a few hundred
-# kilobytes pays its page faults again on every call, a cost that grows
-# faster than n.
+# Window queries run over blocks of this many positions with reused buffers,
+# and the prefix sum is int32 where it fits: with fresh int64 temporaries of
+# a few hundred kilobytes per call, evaluating a formula over 1e5 days cost
+# 15-25x as much as over 1e4 (tests/test_acceptance.py::test_linear_scaling).
 _BLOCK = 8192
 
 
 def _any_in_windows(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     n = vals.shape[0]
-    csum = np.zeros(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
+    csum = np.zeros(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
     np.cumsum(vals, out=csum[1:])
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     m = lo.shape[0]
     out = np.empty(m, dtype=np.bool_)
     k = min(m, _BLOCK)
-    a_buf, b_buf = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-    ca_buf, cb_buf = np.empty(k, dtype=csum.dtype), np.empty(k, dtype=csum.dtype)
+    b = np.empty(k, dtype=np.int64)
+    ca, cb = np.empty(k, dtype=csum.dtype), np.empty(k, dtype=csum.dtype)
     for s in range(0, m, _BLOCK):
         e = min(s + _BLOCK, m)
-        a, b, ca, cb = a_buf[: e - s], b_buf[: e - s], ca_buf[: e - s], cb_buf[: e - s]
-        np.maximum(lo[s:e], 0, out=a)
-        np.minimum(a, n, out=a)
-        np.add(hi[s:e], 1, out=b)
-        np.maximum(b, a, out=b)
-        np.minimum(b, n, out=b)
-        # Indices are in 0..n now, so mode="clip" changes nothing and spares
-        # take its bounds check.
-        np.take(csum, a, out=ca, mode="clip")
-        np.take(csum, b, out=cb, mode="clip")
-        np.greater(cb, ca, out=out[s:e])
+        w = e - s
+        np.add(hi[s:e], 1, out=b[:w])
+        # mode="clip" reads indices past either end as 0 or n, which keeps
+        # the part of a window inside the array; as csum never decreases, a
+        # window with hi < lo counts nothing.
+        np.take(csum, lo[s:e], out=ca[:w], mode="clip")
+        np.take(csum, b[:w], out=cb[:w], mode="clip")
+        np.greater(cb[:w], ca[:w], out=out[s:e])
     return out
 
 
@@ -119,56 +116,30 @@ def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float):
     """Inclusive index bounds of the window [t + lo_shift, t + hi_shift]
     around every sample time t; bounds past the ends mark empty windows.
 
-    Integer times spanning at most _DENSE_SPAN_FACTOR times their count read
-    the bounds off a prefix count over the day range, in O(n); other grids
-    fall back to searchsorted.
+    On a gap-free day grid (times[k] = times[0] + k) the bounds are plain
+    index offsets, in O(n); other grids use searchsorted.
     """
     t = np.asarray(times)
     n = t.shape[0]
-    if n and t.dtype.kind in "iu":
-        t = t.astype(np.int64, copy=False)
-        t0 = int(t[0])
-        span = int(t[-1]) - t0 + 1
-        if span <= _DENSE_SPAN_FACTOR * n + 64:
-            return _dense_shift_bounds(t, t0, span, float(lo_shift), float(hi_shift))
+    if n and t.dtype.kind in "iu" and int(t[-1]) - int(t[0]) + 1 == n:
+        # Times strictly increase, so a span of n days has no gaps. Samples
+        # < t_k + lo_shift number k + ceil(lo_shift) and samples
+        # <= t_k + hi_shift number k + floor(hi_shift) + 1, clipped to 0..n.
+        k = np.arange(n, dtype=np.int64)
+        lo = k + math.ceil(_clamp(float(lo_shift), n))
+        np.maximum(lo, 0, out=lo)
+        np.minimum(lo, n, out=lo)
+        hi = k + math.floor(_clamp(float(hi_shift), n))
+        np.maximum(hi, -1, out=hi)
+        np.minimum(hi, n - 1, out=hi)
+        return lo, hi
     tf = t.astype(np.float64)
     lo = np.searchsorted(tf, tf + float(lo_shift), side="left")
     hi = np.searchsorted(tf, tf + float(hi_shift), side="right") - 1
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-_DENSE_SPAN_FACTOR = 4
-
-
-def _dense_shift_bounds(t: np.ndarray, t0: int, span: int, lo_shift: float, hi_shift: float):
-    # On integer days, samples < t + lo_shift sit at day offsets
-    # <= t - t0 + ceil(lo_shift) - 1 and samples <= t + hi_shift at offsets
-    # <= t - t0 + floor(hi_shift). With le[d + 1] the number of samples at
-    # offsets <= d, the bounds are le[t - t0 + ceil(lo_shift)] and
-    # le[t - t0 + floor(hi_shift) + 1] - 1, the indices clipped to 0..span.
-    lo_idx = _shifted_index(t, t0, math.ceil(_clamp(lo_shift, span)), span)
-    hi_idx = _shifted_index(t, t0, math.floor(_clamp(hi_shift, span)) + 1, span)
-    if span == t.shape[0]:
-        # Gap-free grid: le[k] = k.
-        hi_idx -= 1
-        return lo_idx, hi_idx
-    le = np.zeros(span + 1, dtype=np.int64)
-    np.cumsum(np.bincount(t - t0, minlength=span), out=le[1:])
-    np.take(le, lo_idx, out=lo_idx, mode="clip")
-    np.take(le, hi_idx, out=hi_idx, mode="clip")
-    hi_idx -= 1
-    return lo_idx, hi_idx
-
-
-def _clamp(shift: float, span: int) -> float:
-    """A shift past the whole day range acts like one just past it; this
-    keeps infinite shifts out of integer arithmetic."""
-    return min(max(shift, -span - 1.0), span + 1.0)
-
-
-def _shifted_index(t: np.ndarray, t0: int, k: int, span: int) -> np.ndarray:
-    """t - t0 + k clipped to 0..span, as a fresh array."""
-    out = t - np.int64(t0 - k)
-    np.maximum(out, 0, out=out)
-    np.minimum(out, span, out=out)
-    return out
+def _clamp(shift: float, n: int) -> float:
+    """A shift past the whole grid acts like one just past it; this keeps
+    infinite shifts out of integer arithmetic."""
+    return min(max(shift, -n - 1.0), n + 1.0)

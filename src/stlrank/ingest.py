@@ -46,7 +46,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -266,11 +266,6 @@ def _json_position(value, i: int, row: int) -> float:
 def _json_positions(values: list, row: int) -> list[float]:
     """A JSONL row's positions as floats; each entry must be a JSON number
     within float range."""
-    if {type(v) for v in values} <= {int, float}:
-        try:
-            return [float(v) for v in values]
-        except OverflowError:
-            pass
     return [_json_position(v, i, row) for i, v in enumerate(values)]
 
 

@@ -9,13 +9,11 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 
 from stlrank import (
     Eventually,
     Globally,
     GeneratorConfig,
-    Interval,
     Not,
     TRUE,
     Trace,

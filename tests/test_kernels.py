@@ -97,16 +97,20 @@ def test_shift_bounds_matches_searchsorted():
         assert lo.dtype == np.int64 and hi.dtype == np.int64
 
 
-
 def test_shift_bounds_on_integer_grids_matches_searchsorted():
-    # Day grids with and without gaps, including one sparse enough to take
-    # the searchsorted path, under fractional, negative and infinite shifts.
+    # Gap-free day grids take the index-offset path, gapped and sparse ones
+    # searchsorted, under fractional, negative and infinite shifts.
     rng = np.random.default_rng(32)
     shifts = [(0.0, 3.0), (0.5, 2.5), (1.0, float("inf")), (-2.5, 1.0),
-              (-float("inf"), float("inf")), (4.0, 4.0), (100.0, 200.0)]
+              (-float("inf"), float("inf")), (4.0, 4.0), (100.0, 200.0),
+              (-5.0, -1.5), (-200.0, -100.0)]
     for _ in range(200):
         n = int(rng.integers(1, 60))
-        gaps = rng.choice([1, 1, 1, 2, 5] if rng.random() < 0.8 else [40, 90], size=n)
+        kind = rng.random()
+        if kind < 0.5:
+            gaps = np.ones(n, dtype=np.int64)
+        else:
+            gaps = rng.choice([1, 1, 1, 2, 5] if kind < 0.9 else [40, 90], size=n)
         times = np.cumsum(gaps).astype(np.int64) + int(rng.integers(-50, 50))
         for lo_shift, hi_shift in shifts:
             lo, hi = kernels.shift_bounds(times, lo_shift, hi_shift)
@@ -117,10 +121,12 @@ def test_shift_bounds_on_integer_grids_matches_searchsorted():
 
 
 def test_window_kernels_across_blocks():
-    # Long enough for the window queries to run over several blocks.
+    # Long enough for the window queries to run over several blocks, with
+    # windows running past both ends.
     rng = np.random.default_rng(33)
     n = 3 * kernels._BLOCK + 17
     values = rng.random(n) < 0.9
-    lo, hi = kernels.shift_bounds(np.arange(n, dtype=np.int64), 0.0, 5.0)
-    assert np.array_equal(kernels.window_any(values, lo, hi), brute_window_any(values, lo, hi))
-    assert np.array_equal(kernels.window_all(values, lo, hi), brute_window_all(values, lo, hi))
+    for lo_shift, hi_shift in [(0.0, 5.0), (-3.0, 2.0), (-20.5, -10.0)]:
+        lo, hi = kernels.shift_bounds(np.arange(n, dtype=np.int64), lo_shift, hi_shift)
+        assert np.array_equal(kernels.window_any(values, lo, hi), brute_window_any(values, lo, hi))
+        assert np.array_equal(kernels.window_all(values, lo, hi), brute_window_all(values, lo, hi))

@@ -10,7 +10,6 @@ from stlrank import (
     Globally,
     Implies,
     Interval,
-    Not,
     Or,
     ParseError,
     Predicate,
