@@ -45,6 +45,7 @@ from .core import (
     eval_expr,
     eval_fast,
     eval_naive,
+    eval_rows,
     evaluation_grid,
     operator_count,
 )
@@ -68,6 +69,7 @@ from .ingest import (
     filter_complete,
     generate,
     load_dataset,
+    position_channels,
     to_traceset,
     traceset_from_positions,
     write_csv,
@@ -85,6 +87,7 @@ from .analytics import (
     expand_query,
     metric_distribution,
     satisfaction_rates,
+    verdict_matrix,
 )
 
 __all__ = [
@@ -97,7 +100,7 @@ __all__ = [
     # traces and evaluation
     "Trace", "TraceError", "TraceSet", "Verdict", "EvaluationError",
     "SampleTimeError", "UnknownChannelError", "eval_expr", "eval_fast",
-    "eval_naive", "evaluation_grid",
+    "eval_naive", "eval_rows", "evaluation_grid",
     # parsing
     "ParseError", "SourceSpan", "parse_formula", "print_formula",
     # properties
@@ -106,9 +109,9 @@ __all__ = [
     # datasets
     "Dataset", "DatasetError", "GeneratorConfig", "ProductRecord", "SchemaError",
     "derivative_values", "filter_complete", "generate", "load_dataset",
-    "to_traceset", "traceset_from_positions", "write_csv", "write_jsonl",
+    "position_channels", "to_traceset", "traceset_from_positions", "write_csv", "write_jsonl",
     # analyses
     "ExpansionError", "ExpansionReport", "KMeansResult", "MetricTable",
     "RateTable", "cluster_kmeans", "evaluate_grounded", "expand_propositional",
-    "expand_query", "metric_distribution", "satisfaction_rates",
+    "expand_query", "metric_distribution", "satisfaction_rates", "verdict_matrix",
 ]

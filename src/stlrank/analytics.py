@@ -18,8 +18,10 @@ what centroid averaging does to short-lived excursions.
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -49,8 +51,8 @@ from .core.formula import (
     channels_of,
     operator_count,
 )
-from .core.semantics import eval_fast, eval_predicate
-from .ingest import Dataset, ProductRecord, to_traceset
+from .core.semantics import eval_predicate, eval_rows
+from .ingest import Dataset, position_channels
 from .props import PropertySpec
 
 __all__ = [
@@ -76,6 +78,7 @@ __all__ = [
     "metric_distribution",
     "rates_plot_data",
     "satisfaction_rates",
+    "verdict_matrix",
 ]
 
 OVERALL = "(all)"
@@ -97,6 +100,27 @@ def _render_columns(headers: Sequence[str], cells: Sequence[Sequence[str]], left
     )
 
 
+def _csv_text(headers: Sequence[str], cells: Sequence[Sequence[str]]) -> str:
+    """CSV as `write_csv` writes it: quoted where needed, "\n" line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(cells)
+    return buf.getvalue()
+
+
+def _cells(rows, fields: Sequence[str], digits: int) -> list[tuple[str, ...]]:
+    """Each row's fields as text; the last one, a float, with `digits`
+    decimals, or NA when it is nan."""
+    return [
+        (
+            *(str(getattr(r, f)) for f in fields[:-1]),
+            "NA" if math.isnan(v := getattr(r, fields[-1])) else f"{v:.{digits}f}",
+        )
+        for r in rows
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Satisfaction rates.
 # ---------------------------------------------------------------------------
@@ -116,6 +140,8 @@ class RateRow:
 class RateTable:
     """Per-category satisfaction counts, with an overall rollup per property."""
 
+    HEADERS = ("category", "property", "satisfied", "total", "rate")
+
     def __init__(self, rows: Sequence[RateRow]) -> None:
         self.rows = list(rows)
 
@@ -129,56 +155,23 @@ class RateTable:
         return self.rate(OVERALL, property_name)
 
     def to_csv_text(self) -> str:
-        lines = ["category,property,satisfied,total,rate"]
-        for row in self.rows:
-            rate = "NA" if math.isnan(row.rate) else f"{row.rate:.6f}"
-            lines.append(
-                f"{row.category},{row.property},{row.satisfied},{row.total},{rate}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(self.HEADERS, _cells(self.rows, self.HEADERS, 6))
 
     def to_text(self) -> str:
-        cells = [
-            (
-                row.category,
-                row.property,
-                str(row.satisfied),
-                str(row.total),
-                "NA" if math.isnan(row.rate) else f"{row.rate:.4f}",
-            )
-            for row in self.rows
-        ]
-        return _render_columns(("category", "property", "satisfied", "total", "rate"), cells, 2)
+        return _render_columns(self.HEADERS, _cells(self.rows, self.HEADERS, 4), 2)
 
 
-def _spec_verdicts(records: Sequence[ProductRecord], specs: Sequence[PropertySpec]) -> np.ndarray:
-    """Boolean matrix: out[i, j] = record i satisfies spec j."""
-    out = np.zeros((len(records), len(specs)), dtype=bool)
-    for i, rec in enumerate(records):
-        w = to_traceset(rec)
-        for j, spec in enumerate(specs):
-            out[i, j] = eval_fast(spec.formula, w).satisfied
-    return out
-
-
-def _verdict_chunk(args: tuple[tuple[ProductRecord, ...], tuple[PropertySpec, ...]]) -> np.ndarray:
-    records, specs = args
-    return _spec_verdicts(records, specs)
-
-
-def _all_verdicts(
-    ds: Dataset, specs: Sequence[PropertySpec], jobs: int
+def verdict_matrix(
+    ds: Dataset, formulas: Sequence[Formula], *, until_strict: bool = False
 ) -> np.ndarray:
-    if jobs <= 1 or len(ds.records) < 2 * jobs:
-        return _spec_verdicts(ds.records, specs)
-    chunk = (len(ds.records) + jobs - 1) // jobs
-    pieces = [
-        (tuple(ds.records[i : i + chunk]), tuple(specs))
-        for i in range(0, len(ds.records), chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_verdict_chunk, pieces))
-    return np.concatenate(parts, axis=0)
+    """out[i, j] = record i satisfies formula j; one `eval_rows` pass over
+    all records per formula."""
+    out = np.zeros((len(ds.records), len(formulas)), dtype=bool)
+    if ds.records:
+        channels = position_channels([rec.positions for rec in ds.records])
+        for j, f in enumerate(formulas):
+            out[:, j] = eval_rows(f, channels, until_strict=until_strict)
+    return out
 
 
 def satisfaction_rates(
@@ -188,25 +181,22 @@ def satisfaction_rates(
 
     Records are evaluated as-is: differences adjacent to missing days are 0
     in the derivative channel, so filter with `filter_complete` first when a
-    property should only see fully ranked histories.
+    property should only see fully ranked histories. `jobs` is accepted and
+    ignored: one batched pass over all records replaced the process pool.
     """
-    verdicts = _all_verdicts(ds, specs, jobs)
+    verdicts = verdict_matrix(ds, [spec.formula for spec in specs])
     categories = ds.categories
     cat_index = {c: i for i, c in enumerate(categories)}
     rec_cat = np.array([cat_index[rec.category] for rec in ds.records], dtype=np.int64)
-
-    rows: list[RateRow] = []
-    for j, spec in enumerate(specs):
-        col = verdicts[:, j]
-        for c, cat in enumerate(categories):
-            mask = rec_cat == c
-            rows.append(
-                RateRow(cat, spec.name, int(col[mask].sum()), int(mask.sum()))
-            )
-    for j, spec in enumerate(specs):
-        col = verdicts[:, j]
-        rows.append(RateRow(OVERALL, spec.name, int(col.sum()), len(ds.records)))
-    return RateTable(rows)
+    totals = np.bincount(rec_cat, minlength=len(categories))
+    satisfied = np.zeros((len(categories), len(specs)), dtype=np.int64)
+    np.add.at(satisfied, rec_cat, verdicts)
+    return RateTable(
+        [RateRow(cat, spec.name, int(satisfied[c, j]), int(totals[c]))
+         for j, spec in enumerate(specs) for c, cat in enumerate(categories)]
+        + [RateRow(OVERALL, spec.name, int(verdicts[:, j].sum()), len(ds.records))
+           for j, spec in enumerate(specs)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +213,8 @@ class MetricRow:
 
 
 class MetricTable:
+    HEADERS = ("property", "group", "metric", "count", "mean")
+
     def __init__(self, rows: Sequence[MetricRow]) -> None:
         self.rows = list(rows)
 
@@ -233,31 +225,18 @@ class MetricTable:
         raise KeyError((property_name, group, metric))
 
     def to_csv_text(self) -> str:
-        lines = ["property,group,metric,count,mean"]
-        for row in self.rows:
-            mean = "NA" if math.isnan(row.mean) else f"{row.mean:.4f}"
-            lines.append(f"{row.property},{row.group},{row.metric},{row.count},{mean}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(self.HEADERS, _cells(self.rows, self.HEADERS, 4))
 
     def to_text(self) -> str:
-        cells = [
-            (
-                row.property,
-                row.group,
-                row.metric,
-                str(row.count),
-                "NA" if math.isnan(row.mean) else f"{row.mean:.2f}",
-            )
-            for row in self.rows
-        ]
-        return _render_columns(("property", "group", "metric", "count", "mean"), cells, 3)
+        return _render_columns(self.HEADERS, _cells(self.rows, self.HEADERS, 2), 3)
 
 
 def metric_distribution(
     ds: Dataset, specs: Sequence[PropertySpec], jobs: int = 1
 ) -> MetricTable:
-    """Mean engagement counters among satisfying and violating records."""
-    verdicts = _all_verdicts(ds, specs, jobs)
+    """Mean engagement counters among satisfying and violating records;
+    `jobs` is accepted and ignored, as in `satisfaction_rates`."""
+    verdicts = verdict_matrix(ds, [spec.formula for spec in specs])
     metric_values = {
         m: np.array([getattr(rec, m) for rec in ds.records], dtype=np.float64)
         for m in METRICS
@@ -279,6 +258,11 @@ def metric_distribution(
 
 class ExpansionError(FormulaError):
     """The formula cannot be grounded over a finite day horizon."""
+
+
+# Grounding nested windows multiplies their spans: F(G(F(x < 1))) grows
+# cubically with the horizon and passes this many nodes near horizon 140.
+MAX_GROUNDED_NODES = 500_000
 
 
 class GTrue:
@@ -368,7 +352,9 @@ def _window_days(t: int, lo: float, hi: float, last: int) -> tuple[list[int], in
     return days, padded
 
 
-def _ground(f: Formula, t: int, last: int) -> object:
+def _ground(f: Formula, t: int, last: int, nodes) -> object:
+    if next(nodes) > MAX_GROUNDED_NODES:
+        raise ExpansionError(f"expansion exceeds {MAX_GROUNDED_NODES} grounded nodes")
     if isinstance(f, TrueFormula):
         return GTRUE
     if isinstance(f, FalseFormula):
@@ -376,26 +362,26 @@ def _ground(f: Formula, t: int, last: int) -> object:
     if isinstance(f, Atom):
         return GAtom(f.predicate, t)
     if isinstance(f, Not):
-        return GNot(_ground(f.operand, t, last))
+        return GNot(_ground(f.operand, t, last, nodes))
     if isinstance(f, And):
-        return GAnd((_ground(f.left, t, last), _ground(f.right, t, last)))
+        return GAnd((_ground(f.left, t, last, nodes), _ground(f.right, t, last, nodes)))
     if isinstance(f, Or):
-        return GOr((_ground(f.left, t, last), _ground(f.right, t, last)))
+        return GOr((_ground(f.left, t, last, nodes), _ground(f.right, t, last, nodes)))
     if isinstance(f, Implies):
-        return GOr((GNot(_ground(f.left, t, last)), _ground(f.right, t, last)))
+        return GOr((GNot(_ground(f.left, t, last, nodes)), _ground(f.right, t, last, nodes)))
     if isinstance(f, Eventually):
         days, _ = _window_days(t, f.interval.lo, f.interval.hi, last)
         if not days:
             return GFALSE
         return GOr(
-            tuple(GFALSE if u > last else _ground(f.operand, u, last) for u in days)
+            tuple(GFALSE if u > last else _ground(f.operand, u, last, nodes) for u in days)
         )
     if isinstance(f, Globally):
         days, _ = _window_days(t, f.interval.lo, f.interval.hi, last)
         if not days:
             return GTRUE
         return GAnd(
-            tuple(GTRUE if u > last else _ground(f.operand, u, last) for u in days)
+            tuple(GTRUE if u > last else _ground(f.operand, u, last, nodes) for u in days)
         )
     if isinstance(f, Until):
         raise ExpansionError("until is not supported by propositional expansion")
@@ -478,7 +464,7 @@ def expand_propositional(f: Formula, horizon: int) -> ExpansionReport:
     last = _formula_horizon(f, horizon)
     if last < 0:
         raise ExpansionError("horizon too short for the derivative channel")
-    root = _ground(f, 0, last)
+    root = _ground(f, 0, last, itertools.count(1))
     if isinstance(root, (GAnd, GOr)):
         ops = sum(_gcount(c) for c in root.children)
     else:

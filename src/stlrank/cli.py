@@ -27,8 +27,9 @@ from .analytics import (
     metric_distribution,
     rates_plot_data,
     satisfaction_rates,
+    verdict_matrix,
 )
-from .core.semantics import EvaluationError, eval_fast
+from .core.semantics import EvaluationError, eval_rows
 from .ingest import (
     DatasetError,
     filter_complete,
@@ -36,8 +37,7 @@ from .ingest import (
     GeneratorConfig,
     labels_path_for,
     load_dataset,
-    to_traceset,
-    traceset_from_positions,
+    position_channels,
     write_csv,
     write_jsonl,
     write_labels,
@@ -142,14 +142,11 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     formula = _resolve_formula(args)
     ds = _load(args)
-    satisfied = 0
-    for rec in ds.records:
-        verdict = eval_fast(formula, to_traceset(rec), until_strict=args.strict_until)
-        if verdict.satisfied:
-            satisfied += 1
-        if args.each:
-            state = "satisfied" if verdict.satisfied else "violated"
-            print(f"{rec.product_id}\t{state}")
+    verdicts = verdict_matrix(ds, [formula], until_strict=args.strict_until)[:, 0]
+    if args.each:
+        for rec, ok in zip(ds.records, verdicts):
+            print(f"{rec.product_id}\t{'satisfied' if ok else 'violated'}")
+    satisfied = int(verdicts.sum())
     total = len(ds.records)
     rate = satisfied / total if total else float("nan")
     print(f"formula: {print_formula(formula)}")
@@ -160,7 +157,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_rates(args: argparse.Namespace) -> int:
     specs = default_library(**_collect_overrides(args))
     ds = _load(args)
-    table = satisfaction_rates(ds, specs, jobs=args.jobs)
+    table = satisfaction_rates(ds, specs)
     if args.output:
         _write_text(args.output, table.to_csv_text())
     else:
@@ -173,7 +170,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     specs = default_library(**_collect_overrides(args))
     ds = _load(args)
-    table = metric_distribution(ds, specs, jobs=args.jobs)
+    table = metric_distribution(ds, specs)
     if args.output:
         _write_text(args.output, table.to_csv_text())
     else:
@@ -247,23 +244,19 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_kmeans(args: argparse.Namespace) -> int:
     ds = _load(args)
     result = cluster_kmeans(ds, k=args.k, seed=args.seed, max_iter=args.max_iter)
-    ditch = build("ditch").formula
-    spike = build("spike").formula
-    flagged = 0
+    channels = position_channels(result.centroids)
+    ditch = eval_rows(build("ditch").formula, channels)
+    spike = eval_rows(build("spike").formula, channels)
     for c in range(args.k):
         size = int((result.assignments == c).sum())
-        w = traceset_from_positions(result.centroids[c])
-        has_ditch = eval_fast(ditch, w).satisfied
-        has_spike = eval_fast(spike, w).satisfied
-        flagged += int(has_ditch or has_spike)
         print(
             f"centroid {c}: size={size}"
-            f" ditch={'yes' if has_ditch else 'no'}"
-            f" spike={'yes' if has_spike else 'no'}"
+            f" ditch={'yes' if ditch[c] else 'no'}"
+            f" spike={'yes' if spike[c] else 'no'}"
         )
     print(f"iterations: {result.iterations}")
     print(f"distortion: {result.distortion_history[-1]:.4f}")
-    print(f"centroids satisfying ditch or spike: {flagged}/{args.k}")
+    print(f"centroids satisfying ditch or spike: {int((ditch | spike).sum())}/{args.k}")
     if args.output:
         days = result.centroids.shape[1]
         lines = [",".join(["centroid"] + [f"pos_{i}" for i in range(days)])]
@@ -300,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="property satisfaction rates per category")
     _add_dataset_args(p)
     _add_param_args(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
     p.add_argument("--emit-plot-data", metavar="PATH", help="write gnuplot data file")
     p.set_defaults(func=_cmd_rates)
@@ -308,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="engagement means among satisfying records")
     _add_dataset_args(p)
     _add_param_args(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
     p.set_defaults(func=_cmd_metrics)
 

@@ -1,17 +1,18 @@
 """Array kernels behind the linear-time evaluator.
 
 Each kernel answers one window query for every position of a boolean array
-in a single vectorized pass. Windows arrive as inclusive index bounds
-lo[i]..hi[i] that are non-decreasing in i, because they come from sliding a
-fixed real interval along a sorted time grid. Empty windows (hi < lo, or lo
-past the end) produce the quantifier identity: False for "any", True for
-"all".
+in a single vectorized pass, along the last axis of one trace (n,) or of
+many traces on one grid (R, n). Windows arrive as inclusive index bounds
+lo[i]..hi[i], shared by all rows, that are non-decreasing in i, because
+they come from sliding a fixed real interval along a sorted time grid.
+Empty windows (hi < lo, or lo past the end) produce the quantifier
+identity: False for "any", True for "all".
 
 The window queries read a running count off one prefix sum, the boolean
 degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046), in O(n).
 The until scan combines run lengths of the left operand with next-witness
-indices of the right one, O(n log n). Window bounds on a gap-free day grid
-are index offsets, O(n); other grids use searchsorted, O(n log n).
+indices of the right one (reverse running minima), O(n). Window bounds on
+a gap-free day grid are index offsets, O(n); other grids use searchsorted.
 
 The evaluator calls every kernel as an attribute of this module
 (`kernels.window_any(...)`), so a profiler can wrap them here.
@@ -45,16 +46,17 @@ _BLOCK = 8192
 
 
 def _any_in_windows(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    n = vals.shape[0]
-    csum = np.zeros(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
-    np.cumsum(vals, out=csum[1:])
+    n = vals.shape[-1]
+    rows = vals.shape[:-1]
+    csum = np.zeros(rows + (n + 1,), dtype=np.int32 if n < 2**31 else np.int64)
+    np.cumsum(vals, axis=-1, out=csum[..., 1:])
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     m = lo.shape[0]
-    out = np.empty(m, dtype=np.bool_)
+    out = np.empty(rows + (m,), dtype=np.bool_)
     k = min(m, _BLOCK)
     b = np.empty(k, dtype=np.int64)
-    ca, cb = np.empty(k, dtype=csum.dtype), np.empty(k, dtype=csum.dtype)
+    ca, cb = np.empty(rows + (k,), dtype=csum.dtype), np.empty(rows + (k,), dtype=csum.dtype)
     for s in range(0, m, _BLOCK):
         e = min(s + _BLOCK, m)
         w = e - s
@@ -62,9 +64,9 @@ def _any_in_windows(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
         # mode="clip" reads indices past either end as 0 or n, which keeps
         # the part of a window inside the array; as csum never decreases, a
         # window with hi < lo counts nothing.
-        np.take(csum, lo[s:e], out=ca[:w], mode="clip")
-        np.take(csum, b[:w], out=cb[:w], mode="clip")
-        np.greater(cb[:w], ca[:w], out=out[s:e])
+        np.take(csum, lo[s:e], axis=-1, out=ca[..., :w], mode="clip")
+        np.take(csum, b[:w], axis=-1, out=cb[..., :w], mode="clip")
+        np.greater(cb[..., :w], ca[..., :w], out=out[..., s:e])
     return out
 
 
@@ -78,15 +80,13 @@ def window_all(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ~_any_in_windows(~np.asarray(vals, dtype=np.bool_), lo, hi)
 
 
-def _next_index_at_or_after(mask: np.ndarray, n: int) -> np.ndarray:
-    """nxt[i] = smallest j >= i with mask[j], else n; nxt has length n + 1."""
-    nxt = np.full(n + 1, n, dtype=np.int64)
-    idx = np.flatnonzero(mask)
-    if idx.size:
-        pos = np.searchsorted(idx, np.arange(n), side="left")
-        found = pos < idx.size
-        nxt[:n][found] = idx[pos[found]]
-    return nxt
+def _next_index_at_or_after(mask: np.ndarray) -> np.ndarray:
+    """nxt[..., i] = smallest j >= i with mask[..., j], else n; the last
+    axis of nxt has n + 1 entries."""
+    n = mask.shape[-1]
+    nxt = np.full(mask.shape[:-1] + (n + 1,), n, dtype=np.int64)
+    np.copyto(nxt[..., :n], np.arange(n), where=mask)
+    return np.minimum.accumulate(nxt[..., ::-1], axis=-1)[..., ::-1]
 
 
 def until_scan(
@@ -97,19 +97,20 @@ def until_scan(
     With strict=True the f1 obligation stops just before j (f1 on i..j-1).
     """
     f1 = np.asarray(f1, dtype=np.bool_)
-    n = f1.shape[0]
+    n = f1.shape[-1]
     # reach[i]: last index of the f1-run starting at i (i - 1 when !f1[i]).
-    reach = _next_index_at_or_after(~f1, n)[:n] - 1
-    nxt2 = _next_index_at_or_after(np.asarray(f2, dtype=np.bool_), n)
-    cap = reach + 1 if strict else reach
+    reach = _next_index_at_or_after(~f1)[..., :n] - 1
+    nxt2 = _next_index_at_or_after(np.asarray(f2, dtype=np.bool_))
+    if strict:
+        reach += 1
     # np.maximum/np.minimum in place: np.clip costs microseconds per call on
-    # the short arrays of one record, and a fresh array on long ones.
+    # short arrays, and a fresh array on long ones.
     b = np.maximum(np.asarray(hi, dtype=np.int64), -1)
     np.minimum(b, n - 1, out=b)
-    np.minimum(b, cap, out=b)
+    np.minimum(reach, b, out=reach)
     a = np.maximum(np.asarray(lo, dtype=np.int64), 0)
     np.minimum(a, n, out=a)
-    return (a <= b) & (nxt2[a] <= b)
+    return (a <= reach) & (np.take(nxt2, a, axis=-1) <= reach)
 
 
 def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float):

@@ -30,9 +30,13 @@ it costs O(n^2) per temporal operator and is only meant for short traces.
 `eval_fast` computes one boolean array per subformula, bottom-up. Bounded
 and unbounded F/G windows become one sliding-window any/all pass over the
 array, and U becomes one run-length plus next-witness scan, so every
-operator costs O(n log n) at worst and the whole evaluation is
-O(n log n * |formula|). The array passes live in `kernels`.
+operator costs O(n) on a day grid (Donze, Ferrere & Maler, CAV 2013) and
+the whole evaluation O(n * |formula|). The array passes live in `kernels`.
 Both evaluators agree bit for bit at every sample time.
+
+`eval_rows` runs the same pass over R traces on days 0..n-1 at once, each
+node an (R, n) array whose window bounds serve all rows; datasets are
+evaluated this way.
 
 Both evaluators, and the grounded evaluator of propositional expansion, read
 terms through `eval_term` and comparisons through `eval_predicate`; numpy
@@ -95,10 +99,14 @@ class Verdict:
     per_time: np.ndarray
 
     def at(self, t: int) -> bool:
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or int(self.times[i]) != int(t):
-            raise SampleTimeError(f"t={t} is not on the evaluation grid")
-        return bool(self.per_time[i])
+        return bool(self.per_time[_grid_index(self.times, t)])
+
+
+def _grid_index(grid: np.ndarray, t: int) -> int:
+    i = int(np.searchsorted(grid, t))
+    if i >= grid.size or int(grid[i]) != int(t):
+        raise SampleTimeError(f"t={t} is not on the evaluation grid")
+    return i
 
 
 def evaluation_grid(f: Formula, w: TraceSet) -> np.ndarray:
@@ -165,49 +173,69 @@ def eval_predicate(p: Predicate, value_of):
     return abs(diff) > p.eq_tolerance
 
 
-def _window_bounds(grid: np.ndarray, interval: Interval):
-    """Inclusive index bounds of t + I around every grid position."""
-    return kernels.shift_bounds(grid, interval.lo, interval.hi)
+def _node_on_grid(
+    f: Formula, value_of, grid: np.ndarray, shape: tuple, strict: bool
+) -> np.ndarray:
+    """Satisfaction of `f` at every grid position, of `shape` (n,) or
+    (R, n), as are the channel values `value_of(name)` gives."""
 
+    def node(g: Formula) -> np.ndarray:
+        # Calls back into _node_on_grid, not into itself: a closure that
+        # calls itself is a reference cycle, which keeps the traces alive
+        # until the next garbage collection (peak memory on 250k-day traces
+        # rose by half).
+        return _node_on_grid(g, value_of, grid, shape, strict)
 
-def _node_on_grid(f: Formula, w: TraceSet, grid: np.ndarray, strict: bool) -> np.ndarray:
     if isinstance(f, TrueFormula):
-        return np.ones(grid.size, dtype=np.bool_)
+        return np.ones(shape, dtype=np.bool_)
     if isinstance(f, FalseFormula):
-        return np.zeros(grid.size, dtype=np.bool_)
+        return np.zeros(shape, dtype=np.bool_)
     if isinstance(f, Atom):
-        out = eval_predicate(f.predicate, lambda name: _values_on_grid(w, name, grid))
+        out = eval_predicate(f.predicate, value_of)
         # Only a comparison between constants comes out as a single bool.
-        return out if isinstance(out, np.ndarray) else np.full(grid.size, out)
+        return out if isinstance(out, np.ndarray) else np.full(shape, out)
     if isinstance(f, Not):
-        return ~_node_on_grid(f.operand, w, grid, strict)
+        return ~node(f.operand)
     if isinstance(f, And):
-        return _node_on_grid(f.left, w, grid, strict) & _node_on_grid(f.right, w, grid, strict)
+        return node(f.left) & node(f.right)
     if isinstance(f, Or):
-        return _node_on_grid(f.left, w, grid, strict) | _node_on_grid(f.right, w, grid, strict)
+        return node(f.left) | node(f.right)
     if isinstance(f, Implies):
-        return ~_node_on_grid(f.left, w, grid, strict) | _node_on_grid(f.right, w, grid, strict)
-    if isinstance(f, Eventually):
-        vals = _node_on_grid(f.operand, w, grid, strict)
-        lo, hi = _window_bounds(grid, f.interval)
-        return kernels.window_any(vals, lo, hi)
-    if isinstance(f, Globally):
-        vals = _node_on_grid(f.operand, w, grid, strict)
-        lo, hi = _window_bounds(grid, f.interval)
-        return kernels.window_all(vals, lo, hi)
-    if isinstance(f, Until):
-        left = _node_on_grid(f.left, w, grid, strict)
-        right = _node_on_grid(f.right, w, grid, strict)
-        lo, hi = _window_bounds(grid, f.interval)
-        return kernels.until_scan(left, right, lo, hi, strict)
+        return ~node(f.left) | node(f.right)
+    if isinstance(f, (Eventually, Globally, Until)):
+        # Inclusive index bounds of t + I around every grid position.
+        lo, hi = kernels.shift_bounds(grid, f.interval.lo, f.interval.hi)
+        if isinstance(f, Eventually):
+            return kernels.window_any(node(f.operand), lo, hi)
+        if isinstance(f, Globally):
+            return kernels.window_all(node(f.operand), lo, hi)
+        return kernels.until_scan(node(f.left), node(f.right), lo, hi, strict)
     raise FormulaError(f"not a formula: {f!r}")
 
 
 def eval_fast(f: Formula, w: TraceSet, *, until_strict: bool = False) -> Verdict:
     """Evaluate at every grid time in one bottom-up pass; O(n * |formula|)."""
     grid = evaluation_grid(f, w)
-    per_time = _node_on_grid(f, w, grid, until_strict)
+    per_time = _node_on_grid(
+        f, lambda name: _values_on_grid(w, name, grid), grid, grid.shape, until_strict
+    )
     return Verdict(satisfied=bool(per_time[0]), times=grid, per_time=per_time)
+
+
+def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray:
+    """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
+    of row r. `channels` maps each name to an (R, n_c) matrix on days
+    0..n_c-1, so the evaluation grid is days 0..n-1 for the shortest channel
+    the formula mentions (of all channels, if it mentions none)."""
+    names = channels_of(f) or frozenset(channels)
+    for name in names:
+        if name not in channels:
+            raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
+    n = min(channels[c].shape[1] for c in names)
+    shape = (channels[next(iter(names))].shape[0], n)
+    grid = np.arange(n, dtype=np.int64)
+    per_time = _node_on_grid(f, lambda name: channels[name][:, :n], grid, shape, until_strict)
+    return per_time[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +304,5 @@ def eval_naive(
     sample time of the formula's evaluation grid (the first when t is
     omitted, matching Verdict.satisfied)."""
     grid = evaluation_grid(f, w)
-    if t is None:
-        i = 0
-    else:
-        i = int(np.searchsorted(grid, t))
-        if i >= grid.size or int(grid[i]) != int(t):
-            raise SampleTimeError(f"t={t} is not on the evaluation grid")
+    i = 0 if t is None else _grid_index(grid, t)
     return _naive(f, w, grid, i, until_strict)

@@ -14,9 +14,10 @@ validate per row and raise SchemaError naming the row and column; writers
 emit a canonical form such that load followed by write reproduces the file
 byte for byte.
 
-`to_traceset` turns a record into the evaluable signals: channel "x" with
-the positions verbatim (sentinels included) and channel "d1(x)" with the
-one-day differences, one sample shorter. A difference that touches a
+`position_channels` turns a record's positions, or a dataset's (records,
+days) matrix, into the evaluable signals: channel "x" with the positions
+verbatim (sentinels included) and channel "d1(x)" with the one-day
+differences, one sample shorter. A difference that touches a
 missing day is meaningless, so it is set to 0 and reported in the flag mask
 returned by `derivative_values`; filter candidates first (`filter_complete`
 or the miss properties) when that matters.
@@ -63,6 +64,7 @@ __all__ = [
     "filter_complete",
     "generate",
     "load_dataset",
+    "position_channels",
     "to_traceset",
     "traceset_from_positions",
     "write_csv",
@@ -131,7 +133,8 @@ def _validate_record(rec: ProductRecord, row: int | None = None) -> None:
 
 
 class Dataset:
-    """An ordered collection of records with unique product ids.
+    """An ordered collection of records with unique product ids, all on one
+    day grid (the same number of positions).
 
     `planted` optionally maps product_id to the generator pattern that
     produced the record; it is populated by `generate` and by loaders when a
@@ -151,6 +154,9 @@ class Dataset:
             if rec.product_id in seen:
                 raise SchemaError(f"duplicate product_id {rec.product_id!r}")
             seen.add(rec.product_id)
+            if len(rec.positions) != len(records[0].positions):
+                raise SchemaError(f"record {rec.product_id!r}: {len(rec.positions)} positions,"
+                                  f" the first record has {len(records[0].positions)}")
         self.records = records
         self.planted = dict(planted) if planted is not None else None
 
@@ -176,32 +182,33 @@ class Dataset:
 # Traces.
 # ---------------------------------------------------------------------------
 
-def derivative_values(positions: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def derivative_values(positions) -> tuple[np.ndarray, np.ndarray]:
     """One-day differences and a mask of differences touching a missing day.
 
     The day grid has unit spacing, so the discrete derivative at day i is
-    positions[i+1] - positions[i]. Differences adjacent to the -1 sentinel
-    are forced to 0 and flagged True in the mask.
+    positions[i+1] - positions[i], along the last axis of a row or a matrix.
+    Differences adjacent to the -1 sentinel are forced to 0 and flagged.
     """
     pos = np.asarray(positions, dtype=np.float64)
-    if pos.size < 2:
+    if pos.ndim == 0 or pos.shape[-1] < 2:
         raise DatasetError("need at least two positions for a derivative")
-    diff = np.diff(pos)
-    flagged = (pos[:-1] == MISSING) | (pos[1:] == MISSING)
-    diff = np.where(flagged, 0.0, diff)
+    flagged = (pos[..., :-1] == MISSING) | (pos[..., 1:] == MISSING)
+    diff = np.where(flagged, 0.0, np.diff(pos, axis=-1))
     return diff, flagged
+
+
+def position_channels(positions) -> dict[str, np.ndarray]:
+    """Channels "x" (the positions, days 0..n-1) and "d1(x)" (their one-day
+    differences, days 0..n-2) of a row or a (records, days) matrix."""
+    pos = np.asarray(positions, dtype=np.float64)
+    return {"x": pos, "d1(x)": derivative_values(pos)[0]}
 
 
 def traceset_from_positions(positions: Sequence[float]) -> TraceSet:
     """Channels "x" (days 0..n-1) and "d1(x)" (days 0..n-2) for a signal."""
-    pos = np.asarray(positions, dtype=np.float64)
-    diff, _ = derivative_values(pos)
-    n = pos.size
     return TraceSet(
-        [
-            Trace("x", np.arange(n, dtype=np.int64), pos),
-            Trace("d1(x)", np.arange(n - 1, dtype=np.int64), diff),
-        ]
+        Trace(name, np.arange(values.size, dtype=np.int64), values)
+        for name, values in position_channels(positions).items()
     )
 
 
@@ -269,24 +276,10 @@ def _json_positions(values: list, row: int) -> list[float]:
     return [_json_position(v, i, row) for i, v in enumerate(values)]
 
 
-def _record_from_fields(
-    product_id: str,
-    category: str,
-    positions: Sequence[float],
-    impressions: int,
-    clicks: int,
-    purchases: int,
-    row: int,
-) -> ProductRecord:
+def _record_at(row: int, *fields) -> ProductRecord:
+    """ProductRecord(*fields), its schema errors naming the file row."""
     try:
-        return ProductRecord(
-            product_id=product_id,
-            category=category,
-            positions=tuple(positions),
-            impressions=impressions,
-            clicks=clicks,
-            purchases=purchases,
-        )
+        return ProductRecord(*fields)
     except SchemaError as exc:
         raise SchemaError(f"row {row}: {exc}") from None
 
@@ -315,17 +308,11 @@ def _load_csv(path: str, days: int) -> Dataset:
             positions = [
                 _parse_float(row[2 + i], f"pos_{i}", row_no) for i in range(days)
             ]
-            records.append(
-                _record_from_fields(
-                    product_id=row[0],
-                    category=row[1],
-                    positions=positions,
-                    impressions=_parse_count(row[2 + days], "impressions", row_no),
-                    clicks=_parse_count(row[3 + days], "clicks", row_no),
-                    purchases=_parse_count(row[4 + days], "purchases", row_no),
-                    row=row_no,
-                )
-            )
+            counts = [
+                _parse_count(row[2 + days + i], name, row_no)
+                for i, name in enumerate(("impressions", "clicks", "purchases"))
+            ]
+            records.append(_record_at(row_no, row[0], row[1], positions, *counts))
     return Dataset(records)
 
 
@@ -354,18 +341,17 @@ def _load_jsonl(path: str, days: int) -> Dataset:
                 raise SchemaError(
                     f"row {line_no}: column 'positions': expected {days} values"
                 )
+            for name in ("product_id", "category"):
+                if not isinstance(obj[name], str):
+                    raise SchemaError(f"row {line_no}: column {name!r}: not a string")
             for name in ("impressions", "clicks", "purchases"):
                 if not isinstance(obj[name], int) or isinstance(obj[name], bool):
                     raise SchemaError(f"row {line_no}: column {name!r}: not an integer")
             records.append(
-                _record_from_fields(
-                    product_id=str(obj["product_id"]),
-                    category=str(obj["category"]),
-                    positions=_json_positions(positions, line_no),
-                    impressions=obj["impressions"],
-                    clicks=obj["clicks"],
-                    purchases=obj["purchases"],
-                    row=line_no,
+                _record_at(
+                    line_no, obj["product_id"], obj["category"],
+                    _json_positions(positions, line_no),
+                    obj["impressions"], obj["clicks"], obj["purchases"],
                 )
             )
     return Dataset(records)

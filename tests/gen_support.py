@@ -169,24 +169,26 @@ def st_intervals(draw):
     return Interval(lo, lo + draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])))
 
 
-def st_formulas(channels):
-    """Until-free formulas, which propositional expansion can ground."""
+def st_formulas(channels, until=False):
+    """Formulas over the channels; Until-free unless `until` is set, as
+    propositional expansion can only ground Until-free formulas."""
     leaves = st.one_of(st.just(TRUE), st.just(FALSE), st_predicates(channels).map(Atom))
-    return st.recursive(
-        leaves,
-        lambda f: st.one_of(
+
+    def extend(f):
+        return st.one_of(
             st.builds(Not, f),
             st.builds(And, f, f),
             st.builds(Or, f, f),
             st.builds(Implies, f, f),
             st.builds(Eventually, st_intervals(), f),
             st.builds(Globally, st_intervals(), f),
-        ),
-        max_leaves=6,
-    )
+            *([st.builds(Until, st_intervals(), f, f)] if until else []),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
 
 
-def st_positions(max_len=10):
+def st_positions(max_len=10, min_len=2):
     """Daily positions with unranked (-1) days, as `traceset_from_positions`
     takes them."""
     day = st.one_of(
@@ -194,4 +196,11 @@ def st_positions(max_len=10):
         st.integers(1, 12).map(float),
         st.integers(2, 24).map(lambda v: v / 2),
     )
-    return st.lists(day, min_size=2, max_size=max_len)
+    return st.lists(day, min_size=min_len, max_size=max_len)
+
+
+def st_position_rows(max_rows=5, max_len=10):
+    """Records of one common length, as a dataset holds them."""
+    return st.integers(2, max_len).flatmap(
+        lambda n: st.lists(st_positions(n, n), min_size=1, max_size=max_rows)
+    )

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from stlrank import (
     to_traceset,
     traceset_from_positions,
 )
-from stlrank.analytics import OVERALL, centroids_plot_data, rates_plot_data
+from stlrank.analytics import (
+    MAX_GROUNDED_NODES,
+    OVERALL,
+    centroids_plot_data,
+    rates_plot_data,
+)
 from stlrank.ingest import derivative_values
 
 MIX = {"cold": 0.3, "flat": 0.5, "spiky": 0.2}
@@ -44,6 +50,7 @@ def test_satisfaction_rates_exact_on_planted_mix():
 
 
 def test_satisfaction_rates_parallel_matches_serial():
+    # `jobs` is accepted and ignored: every call is one batched pass.
     ds = generate(GeneratorConfig(n_records=120, pattern_mix=MIX, seed=22))
     serial = satisfaction_rates(ds, default_library(), jobs=1)
     parallel = satisfaction_rates(ds, default_library(), jobs=2)
@@ -119,6 +126,26 @@ def test_expansion_rejects_until_and_short_horizons():
         expand_propositional(parse_formula("G(d1(x) < 1)"), 0)
     with pytest.raises(ExpansionError):
         expand_propositional(parse_formula("G(load < 1)"), 5)
+
+
+def test_expansion_node_budget():
+    # Nested windows grow cubically with the horizon: past the node budget
+    # grounding stops at once instead of building millions of nodes.
+    start = time.perf_counter()
+    with pytest.raises(ExpansionError, match=f"{MAX_GROUNDED_NODES} grounded nodes"):
+        expand_propositional(parse_formula("F(G(F(x < 1)))"), 300)
+    assert time.perf_counter() - start < 15.0
+    # The library stays far inside the budget at the default horizon.
+    counts = {
+        spec.name: (report.operator_count, report.atom_count)
+        for spec in default_library()
+        for report in [expand_propositional(spec.formula, 13)]
+    }
+    assert counts == {
+        "flat_start": (0, 4), "cold_start": (6, 8), "warm_start": (6, 8),
+        "steady_state": (42, 46), "reach": (119, 119), "ditch": (39, 49),
+        "spike": (39, 49), "no_init_miss": (4, 4), "no_long_miss": (120, 64),
+    }
 
 
 def test_query_rendering_shape():

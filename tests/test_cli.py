@@ -1,9 +1,24 @@
+import csv
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from stlrank import (
+    Dataset,
+    ProductRecord,
+    Trace,
+    TraceSet,
+    default_library,
+    eval_naive,
+    load_dataset,
+    parse_formula,
+    print_formula,
+    write_csv,
+)
 from stlrank.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -105,6 +120,23 @@ def test_jsonl_positions_must_be_numbers(entry, tmp_path, capsys):
     assert main(["check", "-i", str(bad), "--property", "ditch"]) == 2
     err = capsys.readouterr().err
     assert "row 1" in err and "'pos_13'" in err
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [("product_id", None), ("product_id", 7), ("category", ["a"]), ("category", {})],
+    ids=["null-id", "number-id", "list-category", "object-category"],
+)
+def test_jsonl_ids_and_categories_must_be_strings(column, value, tmp_path, capsys):
+    obj = {"product_id": "p1", "category": "c0", "positions": [5] * 14,
+           "impressions": 1, "clicks": 0, "purchases": 0}
+    obj[column] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    assert main(["check", "-i", str(path), "--property", "ditch", "--each"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "row 1" in captured.err and f"{column!r}: not a string" in captured.err
 
 
 def test_usage_error_exit_code(capsys):
@@ -217,3 +249,125 @@ def test_kmeans_summary(tmp_path, capsys):
     lines = cent.read_text().splitlines()
     assert lines[0].startswith("centroid,pos_0,")
     assert len(lines) == 5
+
+
+def test_rates_and_metrics_csv_quote_fields(tmp_path, capsys):
+    odd = 'a,"b'
+    recs = [
+        ProductRecord(f"p{i}", odd if i % 2 else "plain", (float(10 + i),) * 14, 5, 1, 0)
+        for i in range(6)
+    ]
+    data = tmp_path / "data.csv"
+    write_csv(Dataset(recs), str(data))
+    for command in ("rates", "metrics"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "-i", str(data), "-o", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {5}
+    with open(tmp_path / "rates.csv", newline="", encoding="utf-8") as fh:
+        assert {row["category"] for row in csv.DictReader(fh)} == {"plain", odd, "(all)"}
+
+
+def test_expand_past_the_node_budget_is_a_usage_error(capsys):
+    code = main(["expand", "--formula", "F(G(F(x < 1)))", "--horizon", "300"])
+    assert code == 2
+    assert "grounded nodes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# End to end against the oracle: the CLI outputs rebuilt here from eval_naive
+# verdicts on trace sets made independently of stlrank.ingest.
+# ---------------------------------------------------------------------------
+
+ORACLE_FORMULAS = (
+    "(x > 20) U[0,6] (d1(x) < -2)",
+    "!(F[0,3.5]((x > 30) U[0,2] (d1(x) > 1)))",
+    "G((x == -1) -> F[0.5,3.5](x > 0))",
+    "true U[1,3] (abs(d1(x)) * 2 != 4)",
+)
+
+
+def reference_traceset(positions):
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.size
+    touches_missing = (pos[:-1] == -1.0) | (pos[1:] == -1.0)
+    diff = np.where(touches_missing, 0.0, pos[1:] - pos[:-1])
+    return TraceSet(
+        [Trace("x", np.arange(n), pos), Trace("d1(x)", np.arange(n - 1), diff)]
+    )
+
+
+def naive_verdicts(ds, formulas, strict=False):
+    traces = [reference_traceset(rec.positions) for rec in ds.records]
+    return np.array(
+        [[eval_naive(f, w, until_strict=strict) for f in formulas] for w in traces],
+        dtype=bool,
+    ).reshape(len(traces), len(formulas))
+
+
+def expected_rates_csv(ds, names, verdicts):
+    cats = list(dict.fromkeys(rec.category for rec in ds.records))
+    rec_cats = [rec.category for rec in ds.records]
+    lines = ["category,property,satisfied,total,rate"]
+    for j, name in enumerate(names):
+        for cat in cats:
+            members = [i for i, c in enumerate(rec_cats) if c == cat]
+            sat = int(verdicts[members, j].sum())
+            lines.append(f"{cat},{name},{sat},{len(members)},{sat / len(members):.6f}")
+    for j, name in enumerate(names):
+        sat = int(verdicts[:, j].sum())
+        lines.append(f"(all),{name},{sat},{len(rec_cats)},{sat / len(rec_cats):.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def expected_metrics_csv(ds, names, verdicts):
+    lines = ["property,group,metric,count,mean"]
+    for j, name in enumerate(names):
+        for group, mask in (("satisfied", verdicts[:, j]), ("violated", ~verdicts[:, j])):
+            for metric in ("impressions", "clicks", "purchases"):
+                values = np.array(
+                    [getattr(rec, metric) for rec, m in zip(ds.records, mask) if m],
+                    dtype=np.float64,
+                )
+                mean = f"{values.mean():.4f}" if values.size else "NA"
+                lines.append(f"{name},{group},{metric},{values.size},{mean}")
+    return "\n".join(lines) + "\n"
+
+
+def expected_check(ds, text, verdicts):
+    lines = [
+        f"{rec.product_id}\t{'satisfied' if ok else 'violated'}"
+        for rec, ok in zip(ds.records, verdicts)
+    ]
+    sat = int(verdicts.sum())
+    lines.append(f"formula: {print_formula(parse_formula(text))}")
+    lines.append(f"satisfied {sat}/{len(lines) - 1} ({sat / (len(lines) - 1):.4f})")
+    return "\n".join(lines) + "\n"
+
+
+def test_outputs_match_the_naive_oracle(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    mix = "flat=0.2,cold=0.15,warm=0.15,spiky=0.2,missing=0.15,random=0.15"
+    assert main([
+        "generate", "-o", str(data), "--n", "240", "--categories", "7",
+        "--noise-sigma", "0.5", "--mix", mix, "--seed", "19",
+    ]) == 0
+    ds = load_dataset(str(data))
+    specs = default_library()
+    names = [spec.name for spec in specs]
+    verdicts = naive_verdicts(ds, [spec.formula for spec in specs])
+
+    rates, metrics = tmp_path / "rates.csv", tmp_path / "metrics.csv"
+    assert main(["rates", "-i", str(data), "-o", str(rates)]) == 0
+    assert main(["metrics", "-i", str(data), "-o", str(metrics)]) == 0
+    assert rates.read_text() == expected_rates_csv(ds, names, verdicts)
+    assert metrics.read_text() == expected_metrics_csv(ds, names, verdicts)
+
+    capsys.readouterr()
+    for text in ORACLE_FORMULAS:
+        for strict in (False, True):
+            argv = ["check", "-i", str(data), "--each", "--formula", text]
+            assert main(argv + (["--strict-until"] if strict else [])) == 0
+            want = naive_verdicts(ds, [parse_formula(text)], strict)[:, 0]
+            assert capsys.readouterr().out == expected_check(ds, text, want)

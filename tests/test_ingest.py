@@ -47,10 +47,20 @@ def test_dataset_rejects_duplicate_ids():
         Dataset([record([1.0] * 14), record([2.0] * 14)])
 
 
+def test_dataset_rejects_mixed_day_counts():
+    with pytest.raises(SchemaError) as err:
+        Dataset([record([5.0] * 14), record([5.0] * 13, pid="p2")])
+    assert "'p2'" in str(err.value) and "13 positions" in str(err.value)
+
+
 def test_derivative_flags_sentinel_neighbors():
     d, flagged = derivative_values([5.0, 7.0, -1.0, 4.0, 4.0])
     assert list(d) == [2.0, 0.0, 0.0, 0.0]
     assert list(flagged) == [False, True, True, False]
+    # A (records, days) matrix is differenced row by row.
+    d, flagged = derivative_values([[5.0, 7.0, -1.0, 4.0, 4.0], [1.0, 2.0, 4.0, 8.0, -1.0]])
+    assert d.tolist() == [[2.0, 0.0, 0.0, 0.0], [1.0, 2.0, 4.0, 0.0]]
+    assert flagged.tolist() == [[False, True, True, False], [False, False, False, True]]
 
 
 def test_to_traceset_grids():

@@ -36,6 +36,11 @@ def brute_until(f1, f2, lo, hi, strict):
     return out
 
 
+def stack(brute, rows, lo, hi):
+    """A brute-force reference applied to each row of an (R, n) input."""
+    return np.stack([brute(row, lo, hi) for row in rows])
+
+
 def random_bounds(rng, n):
     """Non-decreasing inclusive index windows, as the evaluator produces
     them, with some empty (width -1) and some clipped past the end."""
@@ -55,6 +60,10 @@ def test_window_kernels_match_brute_force():
         lo, hi = random_bounds(rng, n)
         assert np.array_equal(kernels.window_any(values, lo, hi), brute_window_any(values, lo, hi))
         assert np.array_equal(kernels.window_all(values, lo, hi), brute_window_all(values, lo, hi))
+        # (R, n): every row is queried with the same bounds.
+        rows = rng.random((3, n)) < 0.4
+        assert np.array_equal(kernels.window_any(rows, lo, hi), stack(brute_window_any, rows, lo, hi))
+        assert np.array_equal(kernels.window_all(rows, lo, hi), stack(brute_window_all, rows, lo, hi))
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -67,6 +76,11 @@ def test_until_kernel_matches_brute_force(strict):
         lo, hi = random_bounds(rng, n)
         got = kernels.until_scan(f1, f2, lo, hi, strict)
         want = brute_until(f1, f2, lo, hi, strict)
+        assert np.array_equal(got, want)
+        rows1 = rng.random((3, n)) < 0.6
+        rows2 = rng.random((3, n)) < 0.3
+        got = kernels.until_scan(rows1, rows2, lo, hi, strict)
+        want = np.stack([brute_until(a, b, lo, hi, strict) for a, b in zip(rows1, rows2)])
         assert np.array_equal(got, want)
 
 
@@ -126,7 +140,10 @@ def test_window_kernels_across_blocks():
     rng = np.random.default_rng(33)
     n = 3 * kernels._BLOCK + 17
     values = rng.random(n) < 0.9
+    rows = rng.random((2, n)) < 0.9
     for lo_shift, hi_shift in [(0.0, 5.0), (-3.0, 2.0), (-20.5, -10.0)]:
         lo, hi = kernels.shift_bounds(np.arange(n, dtype=np.int64), lo_shift, hi_shift)
         assert np.array_equal(kernels.window_any(values, lo, hi), brute_window_any(values, lo, hi))
         assert np.array_equal(kernels.window_all(values, lo, hi), brute_window_all(values, lo, hi))
+        assert np.array_equal(kernels.window_any(rows, lo, hi), stack(brute_window_any, rows, lo, hi))
+        assert np.array_equal(kernels.window_all(rows, lo, hi), stack(brute_window_all, rows, lo, hi))
