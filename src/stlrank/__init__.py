@@ -87,7 +87,6 @@ from .analytics import (
     expand_query,
     metric_distribution,
     satisfaction_rates,
-    verdict_matrix,
 )
 
 __all__ = [
@@ -113,5 +112,5 @@ __all__ = [
     # analyses
     "ExpansionError", "ExpansionReport", "KMeansResult", "MetricTable",
     "RateTable", "cluster_kmeans", "evaluate_grounded", "expand_propositional",
-    "expand_query", "metric_distribution", "satisfaction_rates", "verdict_matrix",
+    "expand_query", "metric_distribution", "satisfaction_rates",
 ]

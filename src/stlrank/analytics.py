@@ -78,7 +78,6 @@ __all__ = [
     "metric_distribution",
     "rates_plot_data",
     "satisfaction_rates",
-    "verdict_matrix",
 ]
 
 OVERALL = "(all)"
@@ -188,15 +187,19 @@ def satisfaction_rates(
     categories = ds.categories
     cat_index = {c: i for i, c in enumerate(categories)}
     rec_cat = np.array([cat_index[rec.category] for rec in ds.records], dtype=np.int64)
-    totals = np.bincount(rec_cat, minlength=len(categories))
-    satisfied = np.zeros((len(categories), len(specs)), dtype=np.int64)
-    np.add.at(satisfied, rec_cat, verdicts)
-    return RateTable(
-        [RateRow(cat, spec.name, int(satisfied[c, j]), int(totals[c]))
-         for j, spec in enumerate(specs) for c, cat in enumerate(categories)]
-        + [RateRow(OVERALL, spec.name, int(verdicts[:, j].sum()), len(ds.records))
-           for j, spec in enumerate(specs)]
-    )
+
+    rows: list[RateRow] = []
+    for j, spec in enumerate(specs):
+        col = verdicts[:, j]
+        for c, cat in enumerate(categories):
+            mask = rec_cat == c
+            rows.append(
+                RateRow(cat, spec.name, int(col[mask].sum()), int(mask.sum()))
+            )
+    for j, spec in enumerate(specs):
+        col = verdicts[:, j]
+        rows.append(RateRow(OVERALL, spec.name, int(col.sum()), len(ds.records)))
+    return RateTable(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -99,14 +99,10 @@ class Verdict:
     per_time: np.ndarray
 
     def at(self, t: int) -> bool:
-        return bool(self.per_time[_grid_index(self.times, t)])
-
-
-def _grid_index(grid: np.ndarray, t: int) -> int:
-    i = int(np.searchsorted(grid, t))
-    if i >= grid.size or int(grid[i]) != int(t):
-        raise SampleTimeError(f"t={t} is not on the evaluation grid")
-    return i
+        i = int(np.searchsorted(self.times, t))
+        if i >= self.times.size or int(self.times[i]) != int(t):
+            raise SampleTimeError(f"t={t} is not on the evaluation grid")
+        return bool(self.per_time[i])
 
 
 def evaluation_grid(f: Formula, w: TraceSet) -> np.ndarray:
@@ -178,14 +174,7 @@ def _node_on_grid(
 ) -> np.ndarray:
     """Satisfaction of `f` at every grid position, of `shape` (n,) or
     (R, n), as are the channel values `value_of(name)` gives."""
-
-    def node(g: Formula) -> np.ndarray:
-        # Calls back into _node_on_grid, not into itself: a closure that
-        # calls itself is a reference cycle, which keeps the traces alive
-        # until the next garbage collection (peak memory on 250k-day traces
-        # rose by half).
-        return _node_on_grid(g, value_of, grid, shape, strict)
-
+    args = (value_of, grid, shape, strict)
     if isinstance(f, TrueFormula):
         return np.ones(shape, dtype=np.bool_)
     if isinstance(f, FalseFormula):
@@ -195,21 +184,22 @@ def _node_on_grid(
         # Only a comparison between constants comes out as a single bool.
         return out if isinstance(out, np.ndarray) else np.full(shape, out)
     if isinstance(f, Not):
-        return ~node(f.operand)
+        return ~_node_on_grid(f.operand, *args)
     if isinstance(f, And):
-        return node(f.left) & node(f.right)
+        return _node_on_grid(f.left, *args) & _node_on_grid(f.right, *args)
     if isinstance(f, Or):
-        return node(f.left) | node(f.right)
+        return _node_on_grid(f.left, *args) | _node_on_grid(f.right, *args)
     if isinstance(f, Implies):
-        return ~node(f.left) | node(f.right)
+        return ~_node_on_grid(f.left, *args) | _node_on_grid(f.right, *args)
     if isinstance(f, (Eventually, Globally, Until)):
         # Inclusive index bounds of t + I around every grid position.
         lo, hi = kernels.shift_bounds(grid, f.interval.lo, f.interval.hi)
         if isinstance(f, Eventually):
-            return kernels.window_any(node(f.operand), lo, hi)
+            return kernels.window_any(_node_on_grid(f.operand, *args), lo, hi)
         if isinstance(f, Globally):
-            return kernels.window_all(node(f.operand), lo, hi)
-        return kernels.until_scan(node(f.left), node(f.right), lo, hi, strict)
+            return kernels.window_all(_node_on_grid(f.operand, *args), lo, hi)
+        left, right = _node_on_grid(f.left, *args), _node_on_grid(f.right, *args)
+        return kernels.until_scan(left, right, lo, hi, strict)
     raise FormulaError(f"not a formula: {f!r}")
 
 
@@ -226,16 +216,17 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
     """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
     of row r. `channels` maps each name to an (R, n_c) matrix on days
     0..n_c-1, so the evaluation grid is days 0..n-1 for the shortest channel
-    the formula mentions (of all channels, if it mentions none)."""
+    the formula mentions (of all channels, if it mentions none). Channels of
+    one trace, (n_c,) each, give a 0-d verdict."""
     names = channels_of(f) or frozenset(channels)
     for name in names:
         if name not in channels:
             raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
-    n = min(channels[c].shape[1] for c in names)
-    shape = (channels[next(iter(names))].shape[0], n)
+    n = min(channels[c].shape[-1] for c in names)
+    shape = channels[next(iter(names))].shape[:-1] + (n,)
     grid = np.arange(n, dtype=np.int64)
-    per_time = _node_on_grid(f, lambda name: channels[name][:, :n], grid, shape, until_strict)
-    return per_time[:, 0]
+    per_time = _node_on_grid(f, lambda name: channels[name][..., :n], grid, shape, until_strict)
+    return per_time[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,5 +295,10 @@ def eval_naive(
     sample time of the formula's evaluation grid (the first when t is
     omitted, matching Verdict.satisfied)."""
     grid = evaluation_grid(f, w)
-    i = 0 if t is None else _grid_index(grid, t)
+    if t is None:
+        i = 0
+    else:
+        i = int(np.searchsorted(grid, t))
+        if i >= grid.size or int(grid[i]) != int(t):
+            raise SampleTimeError(f"t={t} is not on the evaluation grid")
     return _naive(f, w, grid, i, until_strict)

@@ -276,10 +276,24 @@ def _json_positions(values: list, row: int) -> list[float]:
     return [_json_position(v, i, row) for i, v in enumerate(values)]
 
 
-def _record_at(row: int, *fields) -> ProductRecord:
-    """ProductRecord(*fields), its schema errors naming the file row."""
+def _record_from_fields(
+    product_id: str,
+    category: str,
+    positions: Sequence[float],
+    impressions: int,
+    clicks: int,
+    purchases: int,
+    row: int,
+) -> ProductRecord:
     try:
-        return ProductRecord(*fields)
+        return ProductRecord(
+            product_id=product_id,
+            category=category,
+            positions=tuple(positions),
+            impressions=impressions,
+            clicks=clicks,
+            purchases=purchases,
+        )
     except SchemaError as exc:
         raise SchemaError(f"row {row}: {exc}") from None
 
@@ -308,11 +322,17 @@ def _load_csv(path: str, days: int) -> Dataset:
             positions = [
                 _parse_float(row[2 + i], f"pos_{i}", row_no) for i in range(days)
             ]
-            counts = [
-                _parse_count(row[2 + days + i], name, row_no)
-                for i, name in enumerate(("impressions", "clicks", "purchases"))
-            ]
-            records.append(_record_at(row_no, row[0], row[1], positions, *counts))
+            records.append(
+                _record_from_fields(
+                    product_id=row[0],
+                    category=row[1],
+                    positions=positions,
+                    impressions=_parse_count(row[2 + days], "impressions", row_no),
+                    clicks=_parse_count(row[3 + days], "clicks", row_no),
+                    purchases=_parse_count(row[4 + days], "purchases", row_no),
+                    row=row_no,
+                )
+            )
     return Dataset(records)
 
 
@@ -348,10 +368,14 @@ def _load_jsonl(path: str, days: int) -> Dataset:
                 if not isinstance(obj[name], int) or isinstance(obj[name], bool):
                     raise SchemaError(f"row {line_no}: column {name!r}: not an integer")
             records.append(
-                _record_at(
-                    line_no, obj["product_id"], obj["category"],
-                    _json_positions(positions, line_no),
-                    obj["impressions"], obj["clicks"], obj["purchases"],
+                _record_from_fields(
+                    product_id=obj["product_id"],
+                    category=obj["category"],
+                    positions=_json_positions(positions, line_no),
+                    impressions=obj["impressions"],
+                    clicks=obj["clicks"],
+                    purchases=obj["purchases"],
+                    row=line_no,
                 )
             )
     return Dataset(records)

@@ -60,3 +60,6 @@ def test_batched_rows_agree_with_fast_and_naive(f, rows):
             w = traceset_from_positions(positions)
             fast = eval_fast(f, w, until_strict=strict).satisfied
             assert bool(verdicts[r]) is fast is eval_naive(f, w, until_strict=strict)
+            # One trace, (n,) per channel, gives a 0-d verdict.
+            one = eval_rows(f, position_channels(positions), until_strict=strict)
+            assert one.shape == () and bool(one) is fast
