@@ -188,14 +188,14 @@ def satisfaction_rates(
     cat_index = {c: i for i, c in enumerate(categories)}
     rec_cat = np.array([cat_index[rec.category] for rec in ds.records], dtype=np.int64)
 
+    totals = np.bincount(rec_cat, minlength=len(categories))
     rows: list[RateRow] = []
     for j, spec in enumerate(specs):
-        col = verdicts[:, j]
-        for c, cat in enumerate(categories):
-            mask = rec_cat == c
-            rows.append(
-                RateRow(cat, spec.name, int(col[mask].sum()), int(mask.sum()))
-            )
+        satisfied = np.bincount(rec_cat[verdicts[:, j]], minlength=len(categories))
+        rows.extend(
+            RateRow(cat, spec.name, int(satisfied[c]), int(totals[c]))
+            for c, cat in enumerate(categories)
+        )
     for j, spec in enumerate(specs):
         col = verdicts[:, j]
         rows.append(RateRow(OVERALL, spec.name, int(col.sum()), len(ds.records)))
@@ -564,7 +564,9 @@ def _impute_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     Returns (matrix, included) where `included` marks rows that carry at
     least one real sample; fully missing rows get no cluster.
     """
+    days = len(ds.records[0].positions) if ds.records else 0
     raw = np.array([rec.positions for rec in ds.records], dtype=np.float64)
+    raw = raw.reshape(len(ds.records), days)
     missing = raw == -1.0
     included = ~missing.all(axis=1)
     matrix = raw.copy()
@@ -650,8 +652,16 @@ def rates_plot_data(table: RateTable) -> str:
         for prop in properties:
             r = rates[(cat, prop)]
             vals.append("NA" if math.isnan(r) else f"{r:.6f}")
-        lines.append(" ".join([cat] + vals))
+        lines.append(" ".join([_plot_field(cat)] + vals))
     return "\n".join(lines) + "\n"
+
+
+def _plot_field(name: str) -> str:
+    """`name` as one gnuplot data field: double-quoted, with inner quotes
+    doubled, when it holds whitespace or a quote or starts a comment."""
+    if name.split() == [name] and '"' not in name and not name.startswith("#"):
+        return name
+    return '"' + name.replace('"', '""') + '"'
 
 
 def centroids_plot_data(result: KMeansResult) -> str:

@@ -9,10 +9,12 @@ CSV layout (header required, exactly these columns for the default grid):
 
     product_id,category,pos_0,...,pos_13,impressions,clicks,purchases
 
-JSONL carries the same fields with the positions as an array. Loaders
-validate per row and raise SchemaError naming the row and column; writers
-emit a canonical form such that load followed by write reproduces the file
-byte for byte.
+JSONL carries the same fields with the positions as an array. The readers
+only decode (CSV text to numbers; a JSONL object, its keys, and positions
+as a list of JSON numbers); `ProductRecord` checks every value, and the
+row path both readers share prefixes any SchemaError with the row number.
+Writers emit one canonical form, so load followed by write reproduces the
+file byte for byte.
 
 `position_channels` turns a record's positions, or a dataset's (records,
 days) matrix, into the evaluable signals: channel "x" with the positions
@@ -47,7 +49,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,6 +101,12 @@ class SchemaError(DatasetError):
 
 @dataclass(frozen=True)
 class ProductRecord:
+    """One product's positions and engagement counters.
+
+    Construction checks every value rule and raises SchemaError naming the
+    record and field; positions are stored as a tuple of floats.
+    """
+
     product_id: str
     category: str
     positions: tuple[float, ...]
@@ -107,29 +115,29 @@ class ProductRecord:
     purchases: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(float(p) for p in self.positions))
-        _validate_record(self)
-
-
-def _validate_record(rec: ProductRecord, row: int | None = None) -> None:
-    where = f" (row {row})" if row is not None else ""
-    if not rec.product_id:
-        raise SchemaError(f"empty product_id{where}")
-    if not rec.category:
-        raise SchemaError(f"empty category{where}")
-    if len(rec.positions) == 0:
-        raise SchemaError(f"record {rec.product_id!r}: no positions{where}")
-    for i, p in enumerate(rec.positions):
-        if not math.isfinite(p) or (p != MISSING and p < 1.0):
-            raise SchemaError(
-                f"record {rec.product_id!r}: pos_{i} must be >= 1 or -1, got {p}{where}"
-            )
-    for name in ("impressions", "clicks", "purchases"):
-        v = getattr(rec, name)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise SchemaError(
-                f"record {rec.product_id!r}: {name} must be a non-negative integer{where}"
-            )
+        for name in ("product_id", "category"):
+            if not isinstance(getattr(self, name), str):
+                raise SchemaError(f"column {name!r}: not a string")
+        if not self.product_id:
+            raise SchemaError("empty product_id")
+        if not self.category:
+            raise SchemaError("empty category")
+        positions = tuple(map(float, self.positions))
+        object.__setattr__(self, "positions", positions)
+        if not positions:
+            raise SchemaError(f"record {self.product_id!r}: no positions")
+        for i, p in enumerate(positions):
+            if not (1.0 <= p < math.inf or p == MISSING):
+                raise SchemaError(
+                    f"record {self.product_id!r}: pos_{i} must be >= 1 or -1, got {p}"
+                )
+        for name in ("impressions", "clicks", "purchases"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise SchemaError(
+                    f"record {self.product_id!r}: {name} must be a non-negative integer,"
+                    f" got {v!r}"
+                )
 
 
 class Dataset:
@@ -238,147 +246,98 @@ def _header(days: int) -> list[str]:
     )
 
 
-def _format_pos(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    return repr(float(v))
+def _canonical_pos(p: float) -> int | float:
+    """The written form of a position: integral values without a fraction."""
+    return int(p) if p.is_integer() else p
 
 
-def _parse_float(text: str, column: str, row: int) -> float:
+def _csv_numbers(convert, cells: list[str], columns: list[str], kind: str) -> list:
+    """`convert` (float or int) applied to each cell; SchemaError naming the
+    first column whose text it rejects."""
     try:
-        return float(text)
+        return list(map(convert, cells))
     except ValueError:
-        raise SchemaError(f"row {row}: column {column!r}: not a number: {text!r}") from None
+        for column, text in zip(columns, cells):
+            try:
+                convert(text)
+            except ValueError:
+                raise SchemaError(f"column {column!r}: not {kind}: {text!r}") from None
+        raise
 
 
-def _parse_count(text: str, column: str, row: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise SchemaError(f"row {row}: column {column!r}: not an integer: {text!r}") from None
-    if value < 0:
-        raise SchemaError(f"row {row}: column {column!r}: negative count {value}")
-    return value
-
-
-def _json_position(value, i: int, row: int) -> float:
+def _json_position(value, i: int) -> float:
     if type(value) in (int, float):  # bool is an int subclass, not a number here
         try:
             return float(value)
         except OverflowError:
             pass
-    raise SchemaError(f"row {row}: column 'pos_{i}': not a number: {value!r}")
+    raise SchemaError(f"column 'pos_{i}': not a number: {value!r}")
 
 
-def _json_positions(values: list, row: int) -> list[float]:
-    """A JSONL row's positions as floats; each entry must be a JSON number
-    within float range."""
-    return [_json_position(v, i, row) for i, v in enumerate(values)]
-
-
-def _record_from_fields(
-    product_id: str,
-    category: str,
-    positions: Sequence[float],
-    impressions: int,
-    clicks: int,
-    purchases: int,
-    row: int,
-) -> ProductRecord:
-    try:
-        return ProductRecord(
-            product_id=product_id,
-            category=category,
-            positions=tuple(positions),
-            impressions=impressions,
-            clicks=clicks,
-            purchases=purchases,
-        )
-    except SchemaError as exc:
-        raise SchemaError(f"row {row}: {exc}") from None
+def _read_records(rows: Iterable[tuple[int, object]], decode: Callable) -> Dataset:
+    """The one row path of both readers: `decode` turns each raw row into
+    `ProductRecord` fields, and a SchemaError from decoding or from the
+    record's value checks is prefixed with the row number."""
+    records: list[ProductRecord] = []
+    for row_no, raw in rows:
+        try:
+            records.append(ProductRecord(*decode(raw)))
+        except SchemaError as exc:
+            raise SchemaError(f"row {row_no}: {exc}") from None
+    return Dataset(records)
 
 
 def _load_csv(path: str, days: int) -> Dataset:
-    expected = _header(days)
-    records: list[ProductRecord] = []
+    header = _header(days)
+    pos_columns, counter_columns = header[2:2 + days], header[2 + days:]
+
+    def decode(cells: list[str]) -> tuple:
+        if len(cells) != len(header):
+            raise SchemaError(f"expected {len(header)} columns, got {len(cells)}")
+        positions = _csv_numbers(float, cells[2:2 + days], pos_columns, "a number")
+        counters = _csv_numbers(int, cells[2 + days:], counter_columns, "an integer")
+        return (cells[0], cells[1], positions, *counters)
+
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if header != expected:
+        first = next(reader, None)
+        if first is None:
+            raise SchemaError(f"{path}: empty file")
+        if first != header:
             raise SchemaError(
-                f"{path}: bad header; expected {','.join(expected)!r}"
+                f"{path}: bad header; expected {','.join(header)!r}"
                 f" (pass days=N for a different grid length)"
             )
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise SchemaError(
-                    f"row {row_no}: expected {len(expected)} columns, got {len(row)}"
-                )
-            positions = [
-                _parse_float(row[2 + i], f"pos_{i}", row_no) for i in range(days)
-            ]
-            records.append(
-                _record_from_fields(
-                    product_id=row[0],
-                    category=row[1],
-                    positions=positions,
-                    impressions=_parse_count(row[2 + days], "impressions", row_no),
-                    clicks=_parse_count(row[3 + days], "clicks", row_no),
-                    purchases=_parse_count(row[4 + days], "purchases", row_no),
-                    row=row_no,
-                )
-            )
-    return Dataset(records)
+        return _read_records(
+            ((row_no, cells) for row_no, cells in enumerate(reader, start=2) if cells), decode
+        )
+
+
+_JSONL_KEYS = ("product_id", "category", "positions", "impressions", "clicks", "purchases")
 
 
 def _load_jsonl(path: str, days: int) -> Dataset:
-    records: list[ProductRecord] = []
+    def decode(line: str) -> tuple:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise SchemaError("expected an object")
+        missing = [k for k in _JSONL_KEYS if k not in obj]
+        if missing:
+            raise SchemaError(f"missing keys {missing}")
+        positions = obj["positions"]
+        if not isinstance(positions, list) or len(positions) != days:
+            raise SchemaError(f"column 'positions': expected {days} values")
+        positions = [_json_position(v, i) for i, v in enumerate(positions)]
+        return (obj["product_id"], obj["category"], positions,
+                obj["impressions"], obj["clicks"], obj["purchases"])
+
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"row {line_no}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise SchemaError(f"row {line_no}: expected an object")
-            missing = [
-                k
-                for k in ("product_id", "category", "positions", "impressions", "clicks", "purchases")
-                if k not in obj
-            ]
-            if missing:
-                raise SchemaError(f"row {line_no}: missing keys {missing}")
-            positions = obj["positions"]
-            if not isinstance(positions, list) or len(positions) != days:
-                raise SchemaError(
-                    f"row {line_no}: column 'positions': expected {days} values"
-                )
-            for name in ("product_id", "category"):
-                if not isinstance(obj[name], str):
-                    raise SchemaError(f"row {line_no}: column {name!r}: not a string")
-            for name in ("impressions", "clicks", "purchases"):
-                if not isinstance(obj[name], int) or isinstance(obj[name], bool):
-                    raise SchemaError(f"row {line_no}: column {name!r}: not an integer")
-            records.append(
-                _record_from_fields(
-                    product_id=obj["product_id"],
-                    category=obj["category"],
-                    positions=_json_positions(positions, line_no),
-                    impressions=obj["impressions"],
-                    clicks=obj["clicks"],
-                    purchases=obj["purchases"],
-                    row=line_no,
-                )
-            )
-    return Dataset(records)
+        return _read_records(
+            ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()), decode
+        )
 
 
 def load_dataset(path, fmt: str | None = None, days: int = DAYS_DEFAULT) -> Dataset:
@@ -399,9 +358,8 @@ def write_csv(ds: Dataset, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_header(days))
         writer.writerows(
-            [rec.product_id, rec.category]
-            + [_format_pos(p) for p in rec.positions]
-            + [rec.impressions, rec.clicks, rec.purchases]
+            [rec.product_id, rec.category, *map(_canonical_pos, rec.positions),
+             rec.impressions, rec.clicks, rec.purchases]
             for rec in ds.records
         )
 
@@ -412,7 +370,7 @@ def write_jsonl(ds: Dataset, path: str) -> None:
             obj = {
                 "product_id": rec.product_id,
                 "category": rec.category,
-                "positions": [int(p) if p == int(p) else p for p in rec.positions],
+                "positions": list(map(_canonical_pos, rec.positions)),
                 "impressions": rec.impressions,
                 "clicks": rec.clicks,
                 "purchases": rec.purchases,

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -235,6 +236,8 @@ def test_kmeans_validates_k():
         cluster_kmeans(ds, k=0)
     with pytest.raises(ValueError):
         cluster_kmeans(ds, k=61)
+    with pytest.raises(ValueError, match="need at least k=2 usable records, have 0"):
+        cluster_kmeans(Dataset([]), k=2)
 
 
 def test_plot_emitters_shape():
@@ -250,6 +253,26 @@ def test_plot_emitters_shape():
     clines = cdat.splitlines()
     assert clines[0] == "# day c0 c1 c2"
     assert len(clines) == 15
+
+
+def gnuplot_fields(line):
+    """A data line split the way gnuplot splits it: on whitespace outside
+    double quotes, a quote opening or closing a quoted stretch."""
+    return re.findall(r'(?:"[^"]*"|[^\s"])+', line)
+
+
+def test_rates_plot_data_quotes_odd_category_names():
+    odd = ["with space", 'say "hi"', "#hash", "tab\tin", "c0"]
+    ds = Dataset(
+        [ProductRecord(f"p{i}", cat, (5.0,) * 14, 1, 1, 1) for i, cat in enumerate(odd)]
+    )
+    lines = rates_plot_data(satisfaction_rates(ds, default_library())).splitlines()
+    header = gnuplot_fields(lines[0].removeprefix("#"))
+    assert header[0] == "category" and len(header) == 1 + 9
+    assert all(len(gnuplot_fields(line)) == len(header) for line in lines[1:])
+    assert [gnuplot_fields(line)[0] for line in lines[1:]] == [
+        '"with space"', '"say ""hi"""', '"#hash"', '"tab\tin"', "c0", OVERALL,
+    ]
 
 
 def test_centroid_averaging_flattens_excursions():

@@ -139,6 +139,87 @@ def test_jsonl_ids_and_categories_must_be_strings(column, value, tmp_path, capsy
     assert "row 1" in captured.err and f"{column!r}: not a string" in captured.err
 
 
+# One malformed row after a good one, in each format: (format, overrides of
+# the bad row's fields, the whole stderr). A "pos_i" key overrides one
+# position; CSV overrides are the cell texts, JSONL overrides the JSON values.
+MALFORMED_ROWS = [
+    ("csv", {"pos_13": "zero"}, "row 3: column 'pos_13': not a number: 'zero'"),
+    ("csv", {"pos_4": ""}, "row 3: column 'pos_4': not a number: ''"),
+    ("csv", {"pos_3": "0.5"}, "row 3: record 'p2': pos_3 must be >= 1 or -1, got 0.5"),
+    ("csv", {"pos_0": "-2"}, "row 3: record 'p2': pos_0 must be >= 1 or -1, got -2.0"),
+    ("csv", {"pos_1": "nan"}, "row 3: record 'p2': pos_1 must be >= 1 or -1, got nan"),
+    ("csv", {"pos_2": "inf"}, "row 3: record 'p2': pos_2 must be >= 1 or -1, got inf"),
+    ("csv", {"clicks": "1.5"}, "row 3: column 'clicks': not an integer: '1.5'"),
+    ("csv", {"purchases": ""}, "row 3: column 'purchases': not an integer: ''"),
+    ("csv", {"impressions": "-3"},
+     "row 3: record 'p2': impressions must be a non-negative integer, got -3"),
+    ("csv", {"clicks": "-1"}, "row 3: record 'p2': clicks must be a non-negative integer, got -1"),
+    ("csv", {"product_id": ""}, "row 3: empty product_id"),
+    ("csv", {"category": ""}, "row 3: empty category"),
+    ("csv", {"product_id": "p1"}, "duplicate product_id 'p1'"),
+    ("jsonl", {"pos_13": None}, "row 2: column 'pos_13': not a number: None"),
+    ("jsonl", {"pos_13": "5"}, "row 2: column 'pos_13': not a number: '5'"),
+    ("jsonl", {"pos_13": True}, "row 2: column 'pos_13': not a number: True"),
+    ("jsonl", {"pos_3": 0.5}, "row 2: record 'p2': pos_3 must be >= 1 or -1, got 0.5"),
+    ("jsonl", {"pos_0": -2}, "row 2: record 'p2': pos_0 must be >= 1 or -1, got -2.0"),
+    ("jsonl", {"positions": [5] * 13}, "row 2: column 'positions': expected 14 values"),
+    ("jsonl", {"impressions": -3},
+     "row 2: record 'p2': impressions must be a non-negative integer, got -3"),
+    ("jsonl", {"clicks": -1}, "row 2: record 'p2': clicks must be a non-negative integer, got -1"),
+    ("jsonl", {"clicks": 1.5},
+     "row 2: record 'p2': clicks must be a non-negative integer, got 1.5"),
+    ("jsonl", {"purchases": None},
+     "row 2: record 'p2': purchases must be a non-negative integer, got None"),
+    ("jsonl", {"product_id": 7}, "row 2: column 'product_id': not a string"),
+    ("jsonl", {"category": ["a"]}, "row 2: column 'category': not a string"),
+    ("jsonl", {"product_id": ""}, "row 2: empty product_id"),
+    ("jsonl", {"product_id": "p1"}, "duplicate product_id 'p1'"),
+]
+
+
+def malformed_file(tmp_path, fmt, overrides):
+    good = {"product_id": "p1", "category": "c0", "positions": [5] * 14,
+            "impressions": 10, "clicks": 1, "purchases": 0}
+    bad = dict(good, product_id="p2")
+    for key, value in overrides.items():
+        if key.startswith("pos_"):
+            bad["positions"] = list(bad["positions"])
+            bad["positions"][int(key[4:])] = value
+        else:
+            bad[key] = value
+    path = tmp_path / f"bad.{fmt}"
+    if fmt == "jsonl":
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in (good, bad)))
+    else:
+        header = ["product_id", "category", *(f"pos_{i}" for i in range(14)),
+                  "impressions", "clicks", "purchases"]
+        rows = [[obj["product_id"], obj["category"], *obj["positions"], obj["impressions"],
+                 obj["clicks"], obj["purchases"]] for obj in (good, bad)]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return path
+
+
+@pytest.mark.parametrize(
+    "fmt,overrides,message",
+    MALFORMED_ROWS,
+    ids=[f"{fmt}-{k}={v!r:.8}" for fmt, o, _ in MALFORMED_ROWS for k, v in o.items()],
+)
+def test_malformed_rows_pin_their_error_text(fmt, overrides, message, tmp_path, capsys):
+    path = malformed_file(tmp_path, fmt, overrides)
+    assert main(["check", "-i", str(path), "--property", "ditch", "--each"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_kmeans_on_a_file_with_no_records(tmp_path, capsys):
+    path = tmp_path / "header_only.csv"
+    write_csv(Dataset([]), str(path))
+    assert main(["kmeans", "-i", str(path), "--k", "2"]) == 2
+    assert capsys.readouterr().err == "error: need at least k=2 usable records, have 0\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["check"]) == 2
     assert main(["unknown-subcommand"]) == 2

@@ -1,6 +1,9 @@
+import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stlrank import (
     Dataset,
@@ -40,6 +43,10 @@ def test_record_validation():
         record([1.0] * 14, clicks=1.5)
     with pytest.raises(SchemaError):
         record([1.0] * 14, pid="")
+    with pytest.raises(SchemaError, match="'product_id': not a string"):
+        record([1.0] * 14, pid=7)
+    with pytest.raises(SchemaError, match="'category': not a string"):
+        record([1.0] * 14, category=None)
 
 
 def test_dataset_rejects_duplicate_ids():
@@ -268,3 +275,83 @@ def test_days_override(tmp_path):
     assert len(ds.records[0].positions) == 2
     with pytest.raises(SchemaError):
         load_dataset(str(tmp_path / "short.csv"))  # default expects 14
+
+
+# ---------------------------------------------------------------------------
+# Mutated rows: a loader either loads every row or raises SchemaError naming
+# the mutated row, and what it loads round-trips through the writers.
+# ---------------------------------------------------------------------------
+
+FUZZ_BASE = generate(
+    GeneratorConfig(n_records=3, pattern_mix={"missing": 0.5, "random": 0.5}, seed=12)
+)
+CSV_TEXTS = ["nan", "inf", "-inf", "-2", "-1", "0", "0.5", "1.5", "", " 7 ", "abc", "1e400",
+             "9" * 30, "True", "null"]
+JSON_VALUES = [None, True, False, "5", "", "x", [], [1], {}, 10 ** 400, 10 ** 30, -2, -1, 0,
+               0.5, 1.5, 7, float("nan"), float("inf")]
+
+
+def st_edits(values):
+    """Up to three edits of a list: drop, duplicate or replace the entry at
+    an index taken modulo the list's length."""
+    op = st.sampled_from(["drop", "duplicate", "replace"])
+    return st.lists(st.tuples(op, st.integers(0, 30), st.sampled_from(values)),
+                    min_size=1, max_size=3)
+
+
+def apply_edits(items, edits, replace=lambda old, value: value):
+    items = list(items)
+    for op, i, value in edits:
+        i %= len(items)
+        if op == "drop":
+            del items[i]
+        elif op == "duplicate":
+            items.insert(i, items[i])
+        else:
+            items[i] = replace(items[i], value)
+    return items
+
+
+def check_mutated_load(path, bad_row):
+    try:
+        loaded = load_dataset(str(path))
+    except SchemaError as exc:
+        assert str(exc).startswith(f"row {bad_row}: "), str(exc)
+        return
+    assert len(loaded) == len(FUZZ_BASE)
+    for write, fmt in ((write_csv, "csv"), (write_jsonl, "jsonl")):
+        again = path.with_name("again." + fmt)
+        write(loaded, str(again))
+        assert load_dataset(str(again)).records == loaded.records
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(row=st.integers(0, 2), edits=st_edits(CSV_TEXTS))
+def test_mutated_csv_rows_load_or_name_their_row(row, edits, tmp_path):
+    path = tmp_path / "fuzz.csv"
+    write_csv(FUZZ_BASE, str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1 + row] = apply_edits(rows[1 + row], edits)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    check_mutated_load(path, bad_row=2 + row)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(row=st.integers(0, 2), in_positions=st.booleans(), edits=st_edits(JSON_VALUES))
+def test_mutated_jsonl_rows_load_or_name_their_row(row, in_positions, edits, tmp_path):
+    path = tmp_path / "fuzz.jsonl"
+    write_jsonl(FUZZ_BASE, str(path))
+    lines = path.read_text().splitlines()
+    pairs = list(json.loads(lines[row]).items())
+    if in_positions:
+        pairs[2] = ("positions", apply_edits(pairs[2][1], edits))
+    else:
+        # The pairs are written out one by one, so a duplicated key stays in the text.
+        pairs = apply_edits(pairs, edits, replace=lambda old, value: (old[0], value))
+    lines[row] = "{" + ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in pairs) + "}"
+    path.write_text("\n".join(lines) + "\n")
+    check_mutated_load(path, bad_row=1 + row)
