@@ -52,7 +52,7 @@ from .core.formula import (
     operator_count,
 )
 from .core.semantics import eval_predicate, eval_rows
-from .ingest import Dataset, position_channels
+from .ingest import COUNTERS, Dataset, position_channels
 from .props import PropertySpec
 
 __all__ = [
@@ -81,8 +81,6 @@ __all__ = [
 ]
 
 OVERALL = "(all)"
-
-METRICS = ("impressions", "clicks", "purchases")
 
 
 def _render_columns(headers: Sequence[str], cells: Sequence[Sequence[str]], left: int) -> str:
@@ -165,9 +163,9 @@ def verdict_matrix(
 ) -> np.ndarray:
     """out[i, j] = record i satisfies formula j; one `eval_rows` pass over
     all records per formula."""
-    out = np.zeros((len(ds.records), len(formulas)), dtype=bool)
-    if ds.records:
-        channels = position_channels([rec.positions for rec in ds.records])
+    out = np.zeros((len(ds), len(formulas)), dtype=bool)
+    if len(ds):
+        channels = position_channels(ds.positions)
         for j, f in enumerate(formulas):
             out[:, j] = eval_rows(f, channels, until_strict=until_strict)
     return out
@@ -184,21 +182,16 @@ def satisfaction_rates(
     ignored: one batched pass over all records replaced the process pool.
     """
     verdicts = verdict_matrix(ds, [spec.formula for spec in specs])
-    categories = ds.categories
-    cat_index = {c: i for i, c in enumerate(categories)}
-    rec_cat = np.array([cat_index[rec.category] for rec in ds.records], dtype=np.int64)
-
-    totals = np.bincount(rec_cat, minlength=len(categories))
+    totals = np.bincount(ds.category_codes, minlength=len(ds.categories))
     rows: list[RateRow] = []
     for j, spec in enumerate(specs):
-        satisfied = np.bincount(rec_cat[verdicts[:, j]], minlength=len(categories))
+        satisfied = np.bincount(ds.category_codes[verdicts[:, j]], minlength=len(ds.categories))
         rows.extend(
             RateRow(cat, spec.name, int(satisfied[c]), int(totals[c]))
-            for c, cat in enumerate(categories)
+            for c, cat in enumerate(ds.categories)
         )
-    for j, spec in enumerate(specs):
-        col = verdicts[:, j]
-        rows.append(RateRow(OVERALL, spec.name, int(col.sum()), len(ds.records)))
+    rows.extend(RateRow(OVERALL, spec.name, int(verdicts[:, j].sum()), len(ds))
+                for j, spec in enumerate(specs))
     return RateTable(rows)
 
 
@@ -240,16 +233,13 @@ def metric_distribution(
     """Mean engagement counters among satisfying and violating records;
     `jobs` is accepted and ignored, as in `satisfaction_rates`."""
     verdicts = verdict_matrix(ds, [spec.formula for spec in specs])
-    metric_values = {
-        m: np.array([getattr(rec, m) for rec in ds.records], dtype=np.float64)
-        for m in METRICS
-    }
+    metric_values = dict(zip(COUNTERS, ds.counters.T.astype(np.float64)))
     rows: list[MetricRow] = []
     for j, spec in enumerate(specs):
         col = verdicts[:, j]
         for group, mask in (("satisfied", col), ("violated", ~col)):
             n = int(mask.sum())
-            for m in METRICS:
+            for m in COUNTERS:
                 mean = float(metric_values[m][mask].mean()) if n else math.nan
                 rows.append(MetricRow(spec.name, group, m, n, mean))
     return MetricTable(rows)
@@ -564,16 +554,11 @@ def _impute_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     Returns (matrix, included) where `included` marks rows that carry at
     least one real sample; fully missing rows get no cluster.
     """
-    days = len(ds.records[0].positions) if ds.records else 0
-    raw = np.array([rec.positions for rec in ds.records], dtype=np.float64)
-    raw = raw.reshape(len(ds.records), days)
-    missing = raw == -1.0
+    missing = ds.positions == -1.0
     included = ~missing.all(axis=1)
-    matrix = raw.copy()
+    matrix = ds.positions.copy()
     for i in np.flatnonzero(missing.any(axis=1) & included):
-        row = raw[i]
-        mean = row[~missing[i]].mean()
-        matrix[i, missing[i]] = mean
+        matrix[i, missing[i]] = ds.positions[i][~missing[i]].mean()
     return matrix, included
 
 
@@ -624,7 +609,7 @@ def cluster_kmeans(
             if len(members):
                 centroids[c] = members.mean(axis=0)
 
-    full = np.full(len(ds.records), -1, dtype=np.int64)
+    full = np.full(len(ds), -1, dtype=np.int64)
     full[np.flatnonzero(included)] = assignments
     return KMeansResult(
         centroids=centroids,
@@ -658,10 +643,11 @@ def rates_plot_data(table: RateTable) -> str:
 
 def _plot_field(name: str) -> str:
     """`name` as one gnuplot data field: double-quoted, with inner quotes
-    doubled, when it holds whitespace or a quote or starts a comment."""
+    doubled and line breaks written as the escapes \\n and \\r, when it
+    holds whitespace or a quote or starts a comment."""
     if name.split() == [name] and '"' not in name and not name.startswith("#"):
         return name
-    return '"' + name.replace('"', '""') + '"'
+    return '"' + name.replace('"', '""').replace("\n", "\\n").replace("\r", "\\r") + '"'
 
 
 def centroids_plot_data(result: KMeansResult) -> str:

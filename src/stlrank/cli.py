@@ -144,10 +144,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     ds = _load(args)
     verdicts = verdict_matrix(ds, [formula], until_strict=args.strict_until)[:, 0]
     if args.each:
-        for rec, ok in zip(ds.records, verdicts):
-            print(f"{rec.product_id}\t{'satisfied' if ok else 'violated'}")
+        for pid, ok in zip(ds.ids, verdicts):
+            print(f"{pid}\t{'satisfied' if ok else 'violated'}")
     satisfied = int(verdicts.sum())
-    total = len(ds.records)
+    total = len(ds)
     rate = satisfied / total if total else float("nan")
     print(f"formula: {print_formula(formula)}")
     print(f"satisfied {satisfied}/{total} ({rate:.4f})")

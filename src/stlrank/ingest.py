@@ -11,8 +11,11 @@ CSV layout (header required, exactly these columns for the default grid):
 
 JSONL carries the same fields with the positions as an array. The readers
 only decode (CSV text to numbers; a JSONL object, its keys, and positions
-as a list of JSON numbers); `ProductRecord` checks every value, and the
-row path both readers share prefixes any SchemaError with the row number.
+as a list of JSON numbers). One row path, shared with `generate` and
+`Dataset(records)`, checks every value, names the row in any SchemaError
+and appends the row to the `Dataset` columns: ids, category codes, a
+(records, days) position matrix and a (records, 3) counter matrix.
+`Dataset.records` rebuilds `ProductRecord` objects from them on access.
 Writers emit one canonical form, so load followed by write reproduces the
 file byte for byte.
 
@@ -48,7 +51,9 @@ import csv
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -99,13 +104,39 @@ class SchemaError(DatasetError):
     """A file or record does not match the expected schema."""
 
 
+COUNTERS = ("impressions", "clicks", "purchases")
+
+
+def _check_record(product_id, category, positions, counters) -> tuple[float, ...]:
+    """Every value rule of one record, in order (SchemaError naming the
+    record and field); returns the positions as floats."""
+    for name, value in (("product_id", product_id), ("category", category)):
+        if not isinstance(value, str):
+            raise SchemaError(f"column {name!r}: not a string")
+    if not product_id:
+        raise SchemaError("empty product_id")
+    if not category:
+        raise SchemaError("empty category")
+    positions = tuple(map(float, positions))
+    if not positions:
+        raise SchemaError(f"record {product_id!r}: no positions")
+    for i, p in enumerate(positions):
+        if not (1.0 <= p < math.inf or p == MISSING):
+            raise SchemaError(f"record {product_id!r}: pos_{i} must be >= 1 or -1, got {p}")
+    for name, v in zip(COUNTERS, counters):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise SchemaError(
+                f"record {product_id!r}: {name} must be a non-negative integer, got {v!r}"
+            )
+        if v >= 2**63:  # the counter column is int64
+            raise SchemaError(f"record {product_id!r}: {name} must be below 2**63, got {v}")
+    return positions
+
+
 @dataclass(frozen=True)
 class ProductRecord:
-    """One product's positions and engagement counters.
-
-    Construction checks every value rule and raises SchemaError naming the
-    record and field; positions are stored as a tuple of floats.
-    """
+    """One product's positions and engagement counters. Construction checks
+    every value rule (`_check_record`); positions are stored as a tuple of floats."""
 
     product_id: str
     category: str
@@ -115,74 +146,59 @@ class ProductRecord:
     purchases: int
 
     def __post_init__(self) -> None:
-        for name in ("product_id", "category"):
-            if not isinstance(getattr(self, name), str):
-                raise SchemaError(f"column {name!r}: not a string")
-        if not self.product_id:
-            raise SchemaError("empty product_id")
-        if not self.category:
-            raise SchemaError("empty category")
-        positions = tuple(map(float, self.positions))
+        counters = (self.impressions, self.clicks, self.purchases)
+        positions = _check_record(self.product_id, self.category, self.positions, counters)
         object.__setattr__(self, "positions", positions)
-        if not positions:
-            raise SchemaError(f"record {self.product_id!r}: no positions")
-        for i, p in enumerate(positions):
-            if not (1.0 <= p < math.inf or p == MISSING):
-                raise SchemaError(
-                    f"record {self.product_id!r}: pos_{i} must be >= 1 or -1, got {p}"
-                )
-        for name in ("impressions", "clicks", "purchases"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise SchemaError(
-                    f"record {self.product_id!r}: {name} must be a non-negative integer,"
-                    f" got {v!r}"
-                )
 
 
 class Dataset:
-    """An ordered collection of records with unique product ids, all on one
-    day grid (the same number of positions).
-
-    `planted` optionally maps product_id to the generator pattern that
-    produced the record; it is populated by `generate` and by loaders when a
-    labels sidecar is read explicitly.
+    """Records with unique product ids on one day grid, stored as columns:
+    `ids` (a list of str), `categories` (names in first-seen order),
+    `category_codes` ((R,) int64 indexes into `categories`), `positions`
+    ((R, D) float64) and `counters` ((R, 3) int64: impressions, clicks,
+    purchases). `records` rebuilds the records from them on each access.
+    `Dataset(records)` checks each record as the loaders do, numbering rows
+    from 1. `planted` optionally maps product_id to its generator pattern.
     """
 
-    __slots__ = ("records", "planted")
+    __slots__ = ("ids", "categories", "category_codes", "positions", "counters", "planted")
 
     def __init__(
-        self,
-        records: Sequence[ProductRecord],
-        planted: Mapping[str, str] | None = None,
+        self, records: Iterable[ProductRecord] = (), planted: Mapping[str, str] | None = None
     ) -> None:
-        records = list(records)
-        seen: set[str] = set()
-        for rec in records:
-            if rec.product_id in seen:
-                raise SchemaError(f"duplicate product_id {rec.product_id!r}")
-            seen.add(rec.product_id)
-            if len(rec.positions) != len(records[0].positions):
-                raise SchemaError(f"record {rec.product_id!r}: {len(rec.positions)} positions,"
-                                  f" the first record has {len(records[0].positions)}")
-        self.records = records
+        rows = ((r.product_id, r.category, r.positions, r.impressions, r.clicks, r.purchases)
+                for r in records)
+        self._fill(_read_rows(enumerate(rows, start=1)), planted)
+
+    @classmethod
+    def _from_columns(cls, columns: tuple, planted: Mapping[str, str] | None = None) -> Dataset:
+        ds = cls.__new__(cls)
+        ds._fill(columns, planted)
+        return ds
+
+    def _fill(self, columns: tuple, planted: Mapping[str, str] | None) -> None:
+        self.ids, self.categories, self.category_codes, self.positions, self.counters = columns
         self.planted = dict(planted) if planted is not None else None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.records)
 
     @property
-    def categories(self) -> list[str]:
-        """Distinct categories in first-seen order."""
-        return list(dict.fromkeys(rec.category for rec in self.records))
+    def records(self) -> list[ProductRecord]:
+        """The records, built from the columns on each access."""
+        return [
+            ProductRecord(pid, self.categories[code], pos, *counts)
+            for pid, code, pos, counts in zip(self.ids, self.category_codes.tolist(),
+                                              self.positions.tolist(), self.counters.tolist())
+        ]
 
     def by_category(self) -> dict[str, list[ProductRecord]]:
-        out: dict[str, list[ProductRecord]] = {}
+        out: dict[str, list[ProductRecord]] = {c: [] for c in self.categories}
         for rec in self.records:
-            out.setdefault(rec.category, []).append(rec)
+            out[rec.category].append(rec)
         return out
 
 
@@ -226,12 +242,19 @@ def to_traceset(rec: ProductRecord) -> TraceSet:
 
 
 def filter_complete(ds: Dataset) -> Dataset:
-    """Records with no missing days (used to mask out sentinel effects)."""
-    kept = [rec for rec in ds.records if MISSING not in rec.positions]
-    planted = None
-    if ds.planted is not None:
-        planted = {r.product_id: ds.planted[r.product_id] for r in kept if r.product_id in ds.planted}
-    return Dataset(kept, planted)
+    """Records with no missing days (used to mask out sentinel effects). A
+    category left with no records is dropped; the others keep the order in
+    which the remaining records first name them."""
+    kept = ~(ds.positions == MISSING).any(axis=1)
+    ids = list(compress(ds.ids, kept))
+    order = list(dict.fromkeys(ds.category_codes[kept].tolist()))
+    recode = np.zeros(len(ds.categories), dtype=np.int64)
+    recode[order] = np.arange(len(order))
+    planted = None if ds.planted is None else {
+        pid: ds.planted[pid] for pid in ids if pid in ds.planted}
+    columns = (ids, [ds.categories[c] for c in order],
+               recode[ds.category_codes[kept]], ds.positions[kept], ds.counters[kept])
+    return Dataset._from_columns(columns, planted)
 
 
 # ---------------------------------------------------------------------------
@@ -239,52 +262,58 @@ def filter_complete(ds: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _header(days: int) -> list[str]:
-    return (
-        ["product_id", "category"]
-        + [f"pos_{i}" for i in range(days)]
-        + ["impressions", "clicks", "purchases"]
-    )
+    return ["product_id", "category", *(f"pos_{i}" for i in range(days)), *COUNTERS]
 
 
-def _canonical_pos(p: float) -> int | float:
-    """The written form of a position: integral values without a fraction."""
-    return int(p) if p.is_integer() else p
-
-
-def _csv_numbers(convert, cells: list[str], columns: list[str], kind: str) -> list:
-    """`convert` (float or int) applied to each cell; SchemaError naming the
-    first column whose text it rejects."""
+def _numbers(convert, values: list, columns: list[str], kind: str) -> list:
+    """`convert` applied to each value; SchemaError naming the first column
+    whose value it rejects."""
     try:
-        return list(map(convert, cells))
-    except ValueError:
-        for column, text in zip(columns, cells):
+        return list(map(convert, values))
+    except (ValueError, OverflowError):
+        for column, value in zip(columns, values):
             try:
-                convert(text)
-            except ValueError:
-                raise SchemaError(f"column {column!r}: not {kind}: {text!r}") from None
+                convert(value)
+            except (ValueError, OverflowError):
+                raise SchemaError(f"column {column!r}: not {kind}: {value!r}") from None
         raise
 
 
-def _json_position(value, i: int) -> float:
-    if type(value) in (int, float):  # bool is an int subclass, not a number here
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise SchemaError(f"column 'pos_{i}': not a number: {value!r}")
+def _json_number(value) -> float:
+    if type(value) not in (int, float):  # bool is an int subclass, not a number here
+        raise ValueError(value)
+    return float(value)
 
 
-def _read_records(rows: Iterable[tuple[int, object]], decode: Callable) -> Dataset:
-    """The one row path of both readers: `decode` turns each raw row into
-    `ProductRecord` fields, and a SchemaError from decoding or from the
-    record's value checks is prefixed with the row number."""
-    records: list[ProductRecord] = []
+def _read_rows(rows: Iterable[tuple[int, object]], decode: Callable = tuple) -> tuple:
+    """The `Dataset` columns of `rows`: the one row path of the loaders,
+    `generate` and `Dataset(records)`. `decode` turns each raw row into
+    record fields (rows that are fields already pass as they are),
+    `_check_record` checks them, and any SchemaError, also for a repeated
+    id or a different number of positions, names the row."""
+    ids: dict[str, None] = {}  # an ordered set
+    category_index: dict[str, int] = {}
+    codes, positions, counters = array("q"), array("d"), array("q")
+    days = 0
     for row_no, raw in rows:
         try:
-            records.append(ProductRecord(*decode(raw)))
+            product_id, category, pos, *counts = decode(raw)
+            pos = _check_record(product_id, category, pos, counts)
+            if product_id in ids:
+                raise SchemaError(f"duplicate product_id {product_id!r}")
+            if len(pos) != days and ids:
+                raise SchemaError(f"record {product_id!r}: {len(pos)} positions,"
+                                  f" the first record has {days}")
         except SchemaError as exc:
             raise SchemaError(f"row {row_no}: {exc}") from None
-    return Dataset(records)
+        days = len(pos)
+        ids[product_id] = None
+        codes.append(category_index.setdefault(category, len(category_index)))
+        positions.extend(pos)
+        counters.extend(counts)
+    return (list(ids), list(category_index), np.frombuffer(codes, dtype=np.int64),
+            np.frombuffer(positions).reshape(len(ids), days),
+            np.frombuffer(counters, dtype=np.int64).reshape(len(ids), len(COUNTERS)))
 
 
 def _load_csv(path: str, days: int) -> Dataset:
@@ -294,8 +323,8 @@ def _load_csv(path: str, days: int) -> Dataset:
     def decode(cells: list[str]) -> tuple:
         if len(cells) != len(header):
             raise SchemaError(f"expected {len(header)} columns, got {len(cells)}")
-        positions = _csv_numbers(float, cells[2:2 + days], pos_columns, "a number")
-        counters = _csv_numbers(int, cells[2 + days:], counter_columns, "an integer")
+        positions = _numbers(float, cells[2:2 + days], pos_columns, "a number")
+        counters = _numbers(int, cells[2 + days:], counter_columns, "an integer")
         return (cells[0], cells[1], positions, *counters)
 
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -308,19 +337,21 @@ def _load_csv(path: str, days: int) -> Dataset:
                 f"{path}: bad header; expected {','.join(header)!r}"
                 f" (pass days=N for a different grid length)"
             )
-        return _read_records(
+        return Dataset._from_columns(_read_rows(
             ((row_no, cells) for row_no, cells in enumerate(reader, start=2) if cells), decode
-        )
+        ))
 
 
 _JSONL_KEYS = ("product_id", "category", "positions", "impressions", "clicks", "purchases")
 
 
 def _load_jsonl(path: str, days: int) -> Dataset:
+    pos_columns = _header(days)[2:2 + days]
+
     def decode(line: str) -> tuple:
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int too long to convert
             raise SchemaError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise SchemaError("expected an object")
@@ -330,14 +361,16 @@ def _load_jsonl(path: str, days: int) -> Dataset:
         positions = obj["positions"]
         if not isinstance(positions, list) or len(positions) != days:
             raise SchemaError(f"column 'positions': expected {days} values")
-        positions = [_json_position(v, i) for i, v in enumerate(positions)]
-        return (obj["product_id"], obj["category"], positions,
+        # Checking the types first leaves float as the only call per entry.
+        convert = float if {*map(type, positions)} <= {int, float} else _json_number
+        return (obj["product_id"], obj["category"],
+                _numbers(convert, positions, pos_columns, "a number"),
                 obj["impressions"], obj["clicks"], obj["purchases"])
 
     with open(path, "r", encoding="utf-8") as fh:
-        return _read_records(
+        return Dataset._from_columns(_read_rows(
             ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()), decode
-        )
+        ))
 
 
 def load_dataset(path, fmt: str | None = None, days: int = DAYS_DEFAULT) -> Dataset:
@@ -352,29 +385,33 @@ def load_dataset(path, fmt: str | None = None, days: int = DAYS_DEFAULT) -> Data
     raise DatasetError(f"unknown dataset format {fmt!r}")
 
 
+def _rows_out(ds: Dataset):
+    """(product_id, category, positions, counters) per record, with integral
+    positions written without a fraction."""
+    return zip(
+        ds.ids,
+        [ds.categories[c] for c in ds.category_codes.tolist()],
+        ([int(p) if p.is_integer() else p for p in row] for row in ds.positions.tolist()),
+        ds.counters.tolist(),
+    )
+
+
 def write_csv(ds: Dataset, path: str) -> None:
-    days = len(ds.records[0].positions) if ds.records else DAYS_DEFAULT
+    days = ds.positions.shape[1] if len(ds) else DAYS_DEFAULT
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_header(days))
         writer.writerows(
-            [rec.product_id, rec.category, *map(_canonical_pos, rec.positions),
-             rec.impressions, rec.clicks, rec.purchases]
-            for rec in ds.records
+            [pid, category, *positions, *counts]
+            for pid, category, positions, counts in _rows_out(ds)
         )
 
 
 def write_jsonl(ds: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in ds.records:
-            obj = {
-                "product_id": rec.product_id,
-                "category": rec.category,
-                "positions": list(map(_canonical_pos, rec.positions)),
-                "impressions": rec.impressions,
-                "clicks": rec.clicks,
-                "purchases": rec.purchases,
-            }
+        for pid, category, positions, counts in _rows_out(ds):
+            obj = {"product_id": pid, "category": category, "positions": positions,
+                   **dict(zip(COUNTERS, counts))}
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
@@ -390,7 +427,7 @@ def write_labels(ds: Dataset, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["product_id", "planted_pattern"])
-        writer.writerows([rec.product_id, ds.planted[rec.product_id]] for rec in ds.records)
+        writer.writerows([pid, ds.planted[pid]] for pid in ds.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +487,12 @@ def _positions_flat(rng: np.random.Generator) -> list[float]:
     return [level] * DAYS_DEFAULT
 
 
-def _positions_cold(rng: np.random.Generator) -> list[float]:
-    level = float(rng.uniform(30.0, 95.0))
-    steps = rng.uniform(1.5, 3.0, size=4)
-    pos = [level]
-    for s in steps:
-        pos.append(pos[-1] - float(s))
-    pos += [pos[-1]] * (DAYS_DEFAULT - len(pos))
-    return [round(p, 3) for p in pos]
-
-
-def _positions_warm(rng: np.random.Generator) -> list[float]:
-    level = float(rng.uniform(1.0, 60.0))
-    steps = rng.uniform(1.5, 3.0, size=4)
-    pos = [level]
-    for s in steps:
-        pos.append(pos[-1] + float(s))
+def _positions_trend(rng: np.random.Generator, low: float, high: float, sign: float):
+    """A level in [low, high), four steps of 1.5..3 in the direction of
+    `sign` (-1 gains positions, +1 loses them), then flat."""
+    pos = [float(rng.uniform(low, high))]
+    for s in rng.uniform(1.5, 3.0, size=4):
+        pos.append(pos[-1] + sign * float(s))
     pos += [pos[-1]] * (DAYS_DEFAULT - len(pos))
     return [round(p, 3) for p in pos]
 
@@ -502,8 +529,8 @@ def _positions_random(rng: np.random.Generator) -> list[float]:
 
 _PATTERN_BUILDERS = {
     "flat": _positions_flat,
-    "cold": _positions_cold,
-    "warm": _positions_warm,
+    "cold": lambda rng: _positions_trend(rng, 30.0, 95.0, -1.0),
+    "warm": lambda rng: _positions_trend(rng, 1.0, 60.0, 1.0),
     "spiky": _positions_spiky,
     "missing": _positions_missing,
     "random": _positions_random,
@@ -524,9 +551,8 @@ def generate(config: GeneratorConfig) -> Dataset:
     for i in range(config.n_records % config.category_count):
         per_cat[i] += 1
 
-    records: list[ProductRecord] = []
+    rows: list[tuple] = []
     planted: dict[str, str] = {}
-    idx = 0
     for cat_i, cat_n in enumerate(per_cat):
         counts = _exact_counts(mix_names, mix_shares, cat_n)
         category = f"c{cat_i}"
@@ -536,26 +562,13 @@ def generate(config: GeneratorConfig) -> Dataset:
             for _ in range(count):
                 positions = builder(rng)
                 if config.noise_sigma > 0:
-                    noisy = []
-                    for p in positions:
-                        if p == MISSING:
-                            noisy.append(p)
-                        else:
-                            noisy.append(
-                                round(max(1.0, p + float(rng.normal(0.0, config.noise_sigma))), 3)
-                            )
-                    positions = noisy
-                product_id = f"p{idx:06d}"
-                idx += 1
-                records.append(
-                    ProductRecord(
-                        product_id=product_id,
-                        category=category,
-                        positions=tuple(positions),
-                        impressions=int(rng.poisson(mean_impr)),
-                        clicks=int(rng.poisson(mean_clicks)),
-                        purchases=int(rng.poisson(mean_purch)),
-                    )
-                )
+                    positions = [
+                        p if p == MISSING
+                        else round(max(1.0, p + float(rng.normal(0.0, config.noise_sigma))), 3)
+                        for p in positions
+                    ]
+                product_id = f"p{len(rows):06d}"
+                rows.append((product_id, category, positions, int(rng.poisson(mean_impr)),
+                             int(rng.poisson(mean_clicks)), int(rng.poisson(mean_purch))))
                 planted[product_id] = pattern
-    return Dataset(records, planted)
+    return Dataset._from_columns(_read_rows(enumerate(rows, start=1)), planted)

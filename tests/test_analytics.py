@@ -262,7 +262,7 @@ def gnuplot_fields(line):
 
 
 def test_rates_plot_data_quotes_odd_category_names():
-    odd = ["with space", 'say "hi"', "#hash", "tab\tin", "c0"]
+    odd = ["with space", 'say "hi"', "#hash", "tab\tin", "line\nbreak", "c0"]
     ds = Dataset(
         [ProductRecord(f"p{i}", cat, (5.0,) * 14, 1, 1, 1) for i, cat in enumerate(odd)]
     )
@@ -271,7 +271,7 @@ def test_rates_plot_data_quotes_odd_category_names():
     assert header[0] == "category" and len(header) == 1 + 9
     assert all(len(gnuplot_fields(line)) == len(header) for line in lines[1:])
     assert [gnuplot_fields(line)[0] for line in lines[1:]] == [
-        '"with space"', '"say ""hi"""', '"#hash"', '"tab\tin"', "c0", OVERALL,
+        '"with space"', '"say ""hi"""', '"#hash"', '"tab\tin"', '"line\\nbreak"', "c0", OVERALL,
     ]
 
 

@@ -156,7 +156,9 @@ MALFORMED_ROWS = [
     ("csv", {"clicks": "-1"}, "row 3: record 'p2': clicks must be a non-negative integer, got -1"),
     ("csv", {"product_id": ""}, "row 3: empty product_id"),
     ("csv", {"category": ""}, "row 3: empty category"),
-    ("csv", {"product_id": "p1"}, "duplicate product_id 'p1'"),
+    ("csv", {"product_id": "p1"}, "row 3: duplicate product_id 'p1'"),
+    ("csv", {"impressions": "9" * 401},
+     f"row 3: record 'p2': impressions must be below 2**63, got {'9' * 401}"),
     ("jsonl", {"pos_13": None}, "row 2: column 'pos_13': not a number: None"),
     ("jsonl", {"pos_13": "5"}, "row 2: column 'pos_13': not a number: '5'"),
     ("jsonl", {"pos_13": True}, "row 2: column 'pos_13': not a number: True"),
@@ -173,7 +175,8 @@ MALFORMED_ROWS = [
     ("jsonl", {"product_id": 7}, "row 2: column 'product_id': not a string"),
     ("jsonl", {"category": ["a"]}, "row 2: column 'category': not a string"),
     ("jsonl", {"product_id": ""}, "row 2: empty product_id"),
-    ("jsonl", {"product_id": "p1"}, "duplicate product_id 'p1'"),
+    ("jsonl", {"product_id": "p1"}, "row 2: duplicate product_id 'p1'"),
+    ("jsonl", {"clicks": 2**63}, f"row 2: record 'p2': clicks must be below 2**63, got {2**63}"),
 ]
 
 
@@ -348,6 +351,26 @@ def test_rates_and_metrics_csv_quote_fields(tmp_path, capsys):
         assert {len(row) for row in rows} == {5}
     with open(tmp_path / "rates.csv", newline="", encoding="utf-8") as fh:
         assert {row["category"] for row in csv.DictReader(fh)} == {"plain", odd, "(all)"}
+
+
+def test_rates_complete_only_drops_a_category_left_empty(tmp_path):
+    gap = (5.0,) * 6 + (-1.0,) + (5.0,) * 7
+    recs = [
+        ProductRecord("p0", "b", gap, 1, 1, 1),
+        ProductRecord("p1", "gone", gap, 1, 1, 1),
+        ProductRecord("p2", "a", (5.0,) * 14, 1, 1, 1),
+        ProductRecord("p3", "b", (6.0,) * 14, 1, 1, 1),
+        ProductRecord("p4", "gone", (-1.0,) * 14, 1, 1, 1),
+    ]
+    data = tmp_path / "data.csv"
+    write_csv(Dataset(recs), str(data))
+    out = tmp_path / "rates.csv"
+    for extra, expected in (([], [("b", "2"), ("gone", "2"), ("a", "1"), ("(all)", "5")]),
+                            (["--complete-only"], [("a", "1"), ("b", "1"), ("(all)", "2")])):
+        assert main(["rates", "-i", str(data), "-o", str(out), *extra]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["property"] == "flat_start"]
+        assert [(r["category"], r["total"]) for r in rows] == expected
 
 
 def test_expand_past_the_node_budget_is_a_usage_error(capsys):

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,43 @@ def test_jsonl_roundtrip_is_byte_identical(tmp_path):
     assert len(first["positions"]) == 14
 
 
+def assert_same_columns(a, b):
+    assert a.ids == b.ids
+    assert a.categories == b.categories
+    for name in ("category_codes", "positions", "counters"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert np.array_equal(x, y)
+
+
+SIX = {"flat": 0.2, "cold": 0.15, "warm": 0.15, "spiky": 0.2, "missing": 0.15, "random": 0.15}
+
+
+def test_csv_and_jsonl_load_the_same_columns(tmp_path):
+    ds = generate(GeneratorConfig(n_records=90, pattern_mix=SIX, category_count=7,
+                                  noise_sigma=0.5, seed=14))
+    write_csv(ds, str(tmp_path / "a.csv"))
+    write_jsonl(ds, str(tmp_path / "a.jsonl"))
+    from_csv = load_dataset(str(tmp_path / "a.csv"))
+    from_jsonl = load_dataset(str(tmp_path / "a.jsonl"))
+    assert_same_columns(from_csv, ds)
+    assert_same_columns(from_jsonl, ds)
+    assert from_csv.records == from_jsonl.records == ds.records
+    assert ds.positions.dtype == np.float64 and ds.positions.shape == (90, 14)
+    assert ds.counters.dtype == np.int64 and ds.counters.shape == (90, 3)
+    assert ds.category_codes.dtype == np.int64
+    assert ds.categories == [f"c{i}" for i in range(7)]
+
+
+def test_dataset_of_its_records_rebuilds_the_columns():
+    ds = generate(GeneratorConfig(n_records=60, pattern_mix=SIX, category_count=4, seed=15))
+    again = Dataset(ds.records, ds.planted)
+    assert_same_columns(again, ds)
+    assert again.planted == ds.planted
+    assert list(again) == ds.records
+    assert len(again) == 60
+
+
 def test_csv_schema_errors_name_row_and_column(tmp_path):
     header = (
         "product_id,category,"
@@ -174,6 +212,9 @@ def test_jsonl_schema_errors(tmp_path):
     assert "missing keys" in str(err.value)
     path.write_text("not json\n")
     with pytest.raises(SchemaError):
+        load_dataset(str(path))
+    path.write_text('{"product_id": "p1", "impressions": 1' + "0" * 5000 + "}\n")
+    with pytest.raises(SchemaError, match="^row 1: invalid JSON: "):
         load_dataset(str(path))
 
 
