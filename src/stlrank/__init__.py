@@ -73,6 +73,7 @@ from .ingest import (
     to_traceset,
     traceset_from_positions,
     write_csv,
+    write_dataset,
     write_jsonl,
 )
 from .analytics import (
@@ -108,7 +109,8 @@ __all__ = [
     # datasets
     "Dataset", "DatasetError", "GeneratorConfig", "ProductRecord", "SchemaError",
     "derivative_values", "filter_complete", "generate", "load_dataset",
-    "position_channels", "to_traceset", "traceset_from_positions", "write_csv", "write_jsonl",
+    "position_channels", "to_traceset", "traceset_from_positions", "write_csv",
+    "write_dataset", "write_jsonl",
     # analyses
     "ExpansionError", "ExpansionReport", "KMeansResult", "MetricTable",
     "RateTable", "cluster_kmeans", "evaluate_grounded", "expand_propositional",

@@ -53,6 +53,7 @@ from .core.formula import (
 )
 from .core.semantics import eval_predicate, eval_rows
 from .ingest import COUNTERS, Dataset, position_channels
+from .parser import _fmt_num, print_formula
 from .props import PropertySpec
 
 __all__ = [
@@ -61,10 +62,8 @@ __all__ = [
     "ExpansionReport",
     "GAnd",
     "GAtom",
-    "GFalse",
     "GNot",
     "GOr",
-    "GTrue",
     "KMeansResult",
     "MetricRow",
     "MetricTable",
@@ -258,24 +257,6 @@ class ExpansionError(FormulaError):
 MAX_GROUNDED_NODES = 500_000
 
 
-class GTrue:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "GTrue"
-
-
-class GFalse:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "GFalse"
-
-
-GTRUE = GTrue()
-GFALSE = GFalse()
-
-
 @dataclass(frozen=True)
 class GAtom:
     predicate: Predicate
@@ -301,9 +282,11 @@ class GOr:
 class ExpansionReport:
     """A temporal formula flattened over days 0..horizon.
 
-    `operator_count` counts the boolean connectives inside each top-level
-    alternative of the grounded formula (the joins between alternatives are
-    free), which is the size that grows with the horizon.
+    `root` is a tree of GAtom, GNot, GAnd and GOr nodes, with bools as the
+    grounded constants. `operator_count` counts the boolean connectives
+    inside each top-level alternative of the grounded formula (the joins
+    between alternatives are free), which is the size that grows with the
+    horizon.
     `stl_operator_count` counts the operators of the original formula, which
     does not. `atom_count` counts grounded comparison leaves.
     """
@@ -318,40 +301,22 @@ class ExpansionReport:
 
 
 def _formula_horizon(f: Formula, horizon: int) -> int:
-    """Last day the formula can be evaluated at: day `horizon` for the
-    position channel, one less once the derivative channel is involved. A
-    formula that reads no channel is evaluated on the grid both channels
-    share, so it stops one day early too."""
+    """Last day the formula can be evaluated at, as on the evaluators' grid:
+    day `horizon` when the formula reads only `x`, otherwise one day less."""
     chans = channels_of(f)
-    last = horizon if chans else horizon - 1
-    for chan in chans:
-        if chan == "x":
-            pass
-        elif chan == "d1(x)":
-            last = min(last, horizon - 1)
-        else:
-            raise ExpansionError(f"cannot ground channel {chan!r} over a day horizon")
-    return last
-
-
-def _window_days(t: int, lo: float, hi: float, last: int) -> tuple[list[int], int]:
-    """Integer days in [t+lo, t+hi] and how many fall past `last`."""
-    start = math.ceil(t + lo)
-    if math.isinf(hi):
-        return list(range(start, last + 1)), 0
-    stop = math.floor(t + hi)
-    days = list(range(start, stop + 1))
-    padded = sum(1 for u in days if u > last)
-    return days, padded
+    unknown = sorted(chans - {"x", "d1(x)"})
+    if unknown:
+        raise ExpansionError(f"cannot ground channel {unknown[0]!r} over a day horizon")
+    return horizon if chans == {"x"} else horizon - 1
 
 
 def _ground(f: Formula, t: int, last: int, nodes) -> object:
     if next(nodes) > MAX_GROUNDED_NODES:
         raise ExpansionError(f"expansion exceeds {MAX_GROUNDED_NODES} grounded nodes")
     if isinstance(f, TrueFormula):
-        return GTRUE
+        return True
     if isinstance(f, FalseFormula):
-        return GFALSE
+        return False
     if isinstance(f, Atom):
         return GAtom(f.predicate, t)
     if isinstance(f, Not):
@@ -362,19 +327,15 @@ def _ground(f: Formula, t: int, last: int, nodes) -> object:
         return GOr((_ground(f.left, t, last, nodes), _ground(f.right, t, last, nodes)))
     if isinstance(f, Implies):
         return GOr((GNot(_ground(f.left, t, last, nodes)), _ground(f.right, t, last, nodes)))
-    if isinstance(f, Eventually):
-        days, _ = _window_days(t, f.interval.lo, f.interval.hi, last)
+    if isinstance(f, (Eventually, Globally)):
+        # The window's identity literal: an empty F is false, an empty G true.
+        identity = isinstance(f, Globally)
+        stop = last if f.interval.unbounded else math.floor(t + f.interval.hi)
+        days = range(math.ceil(t + f.interval.lo), stop + 1)
         if not days:
-            return GFALSE
-        return GOr(
-            tuple(GFALSE if u > last else _ground(f.operand, u, last, nodes) for u in days)
-        )
-    if isinstance(f, Globally):
-        days, _ = _window_days(t, f.interval.lo, f.interval.hi, last)
-        if not days:
-            return GTRUE
-        return GAnd(
-            tuple(GTRUE if u > last else _ground(f.operand, u, last, nodes) for u in days)
+            return identity
+        return (GAnd if identity else GOr)(
+            tuple(identity if u > last else _ground(f.operand, u, last, nodes) for u in days)
         )
     if isinstance(f, Until):
         raise ExpansionError("until is not supported by propositional expansion")
@@ -414,13 +375,8 @@ def _rename_expr(e, day: int):
 
 
 def _gtext(node: object) -> str:
-    # Local import keeps the parser optional for code that never renders.
-    from .parser import print_formula
-
-    if isinstance(node, GTrue):
-        return "true"
-    if isinstance(node, GFalse):
-        return "false"
+    if isinstance(node, bool):
+        return "true" if node else "false"
     if isinstance(node, GAtom):
         pred = node.predicate
         shifted = Predicate(
@@ -450,8 +406,6 @@ def expand_propositional(f: Formula, horizon: int) -> ExpansionReport:
     end. The grounded formula computes exactly the whole-trace verdict of
     the evaluators on a trace of that length.
     """
-    from .parser import print_formula
-
     if horizon < 0:
         raise ExpansionError("horizon must be non-negative")
     last = _formula_horizon(f, horizon)
@@ -475,10 +429,8 @@ def expand_propositional(f: Formula, horizon: int) -> ExpansionReport:
 
 def evaluate_grounded(node: object, channels: Mapping[str, np.ndarray]) -> bool:
     """Evaluate a grounded formula against per-channel day arrays."""
-    if isinstance(node, GTrue):
-        return True
-    if isinstance(node, GFalse):
-        return False
+    if isinstance(node, bool):
+        return node
     if isinstance(node, GAtom):
 
         def value_of(name: str) -> float:
@@ -500,12 +452,6 @@ def evaluate_grounded(node: object, channels: Mapping[str, np.ndarray]) -> bool:
 # ---------------------------------------------------------------------------
 # Query rendering.
 # ---------------------------------------------------------------------------
-
-def _query_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
-
 
 def expand_query(name: str, horizon: int, w: int, d: float = 10.0) -> str:
     """Pandas-style dataframe filter equivalent to a jump-and-rebound search.
@@ -529,10 +475,10 @@ def expand_query(name: str, horizon: int, w: int, d: float = 10.0) -> str:
     terms = []
     for i in range(0, horizon - w + 1):
         rebound = " | ".join(
-            f"(df.pos_{j} {rebound_op} {_query_num(rebound_d)})"
+            f"(df.pos_{j} {rebound_op} {_fmt_num(rebound_d)})"
             for j in range(i, i + w + 1)
         )
-        terms.append(f"((df.pos_{i} {first_op} {_query_num(first_d)}) & ({rebound}))")
+        terms.append(f"((df.pos_{i} {first_op} {_fmt_num(first_d)}) & ({rebound}))")
     return "df[" + " | ".join(terms) + "]"
 
 

@@ -38,8 +38,7 @@ from .ingest import (
     labels_path_for,
     load_dataset,
     position_channels,
-    write_csv,
-    write_jsonl,
+    write_dataset,
     write_labels,
 )
 from .parser import ParseError, parse_formula, print_formula
@@ -201,13 +200,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     ds = generate(config)
-    fmt = args.format
-    if fmt is None:
-        fmt = "jsonl" if args.output.endswith((".jsonl", ".ndjson")) else "csv"
-    if fmt == "csv":
-        write_csv(ds, args.output)
-    else:
-        write_jsonl(ds, args.output)
+    write_dataset(ds, args.output)
     print(f"wrote {len(ds)} records to {args.output}")
     if args.labels:
         path = labels_path_for(args.output)
@@ -293,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="property satisfaction rates per category")
     _add_dataset_args(p)
     _add_param_args(p)
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
     p.add_argument("--emit-plot-data", metavar="PATH", help="write gnuplot data file")
     p.set_defaults(func=_cmd_rates)
@@ -301,12 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="engagement means among satisfying records")
     _add_dataset_args(p)
     _add_param_args(p)
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
-    p.add_argument("--output", "-o", required=True, help="destination file")
+    p.add_argument("--output", "-o", required=True, help="destination file (csv or jsonl)")
     p.add_argument("--n", type=int, required=True, help="record count")
     p.add_argument(
         "--mix",
@@ -316,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--categories", type=int, default=10)
-    p.add_argument("--format", choices=("csv", "jsonl"))
     p.add_argument(
         "--labels",
         action="store_true",

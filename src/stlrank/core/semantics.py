@@ -108,7 +108,7 @@ class Verdict:
 def evaluation_grid(f: Formula, w: TraceSet) -> np.ndarray:
     """Sample times a formula is evaluated on: see the module docstring."""
     chans = channels_of(f)
-    for name in chans:
+    for name in sorted(chans):
         if name not in w:
             raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
     try:
@@ -219,7 +219,7 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
     the formula mentions (of all channels, if it mentions none). Channels of
     one trace, (n_c,) each, give a 0-d verdict."""
     names = channels_of(f) or frozenset(channels)
-    for name in names:
+    for name in sorted(names):
         if name not in channels:
             raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
     n = min(channels[c].shape[-1] for c in names)

@@ -9,7 +9,9 @@ CSV layout (header required, exactly these columns for the default grid):
 
     product_id,category,pos_0,...,pos_13,impressions,clicks,purchases
 
-JSONL carries the same fields with the positions as an array. The readers
+JSONL carries the same fields with the positions as an array. The file
+extension picks the format, for reading and for writing: `.jsonl`, `.ndjson`
+and `.json` mean JSONL, any other extension means CSV. The readers
 only decode (CSV text to numbers; a JSONL object, its keys, and positions
 as a list of JSON numbers). One row path, shared with `generate` and
 `Dataset(records)`, checks every value, names the row in any SchemaError
@@ -41,8 +43,8 @@ at noise_sigma = 0. Patterns and their guarantees at sigma = 0:
     missing  one run of 4..6 consecutive missing days; violates no_long_miss(3)
     random   a clipped random walk with no guarantee
 
-Counter means per pattern are configurable (GeneratorConfig.metric_means)
-with defaults that make engagement differ visibly across patterns.
+Counter means per pattern are fixed, and make engagement differ visibly
+across patterns.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -75,6 +77,7 @@ __all__ = [
     "to_traceset",
     "traceset_from_positions",
     "write_csv",
+    "write_dataset",
     "write_jsonl",
     "write_labels",
 ]
@@ -85,7 +88,7 @@ MISSING = -1.0
 
 PATTERNS = ("flat", "cold", "warm", "spiky", "missing", "random")
 
-_METRIC_MEANS_DEFAULT: Mapping[str, tuple[float, float, float]] = {
+_METRIC_MEANS: Mapping[str, tuple[float, float, float]] = {
     # (impressions, clicks, purchases)
     "flat": (300.0, 30.0, 90.0),
     "cold": (250.0, 10.0, 35.0),
@@ -158,7 +161,8 @@ class Dataset:
     ((R, D) float64) and `counters` ((R, 3) int64: impressions, clicks,
     purchases). `records` rebuilds the records from them on each access.
     `Dataset(records)` checks each record as the loaders do, numbering rows
-    from 1. `planted` optionally maps product_id to its generator pattern.
+    from 1; with no records, `positions` is (0, DAYS_DEFAULT). `planted`
+    optionally maps product_id to its generator pattern.
     """
 
     __slots__ = ("ids", "categories", "category_codes", "positions", "counters", "planted")
@@ -194,12 +198,6 @@ class Dataset:
             for pid, code, pos, counts in zip(self.ids, self.category_codes.tolist(),
                                               self.positions.tolist(), self.counters.tolist())
         ]
-
-    def by_category(self) -> dict[str, list[ProductRecord]]:
-        out: dict[str, list[ProductRecord]] = {c: [] for c in self.categories}
-        for rec in self.records:
-            out[rec.category].append(rec)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +283,18 @@ def _json_number(value) -> float:
     return float(value)
 
 
-def _read_rows(rows: Iterable[tuple[int, object]], decode: Callable = tuple) -> tuple:
+def _read_rows(
+    rows: Iterable[tuple[int, object]], decode: Callable = tuple, days: int = DAYS_DEFAULT
+) -> tuple:
     """The `Dataset` columns of `rows`: the one row path of the loaders,
     `generate` and `Dataset(records)`. `decode` turns each raw row into
     record fields (rows that are fields already pass as they are),
     `_check_record` checks them, and any SchemaError, also for a repeated
-    id or a different number of positions, names the row."""
+    id or a different number of positions, names the row. The first row
+    sets the day count; with no rows, the positions are (0, `days`)."""
     ids: dict[str, None] = {}  # an ordered set
     category_index: dict[str, int] = {}
     codes, positions, counters = array("q"), array("d"), array("q")
-    days = 0
     for row_no, raw in rows:
         try:
             product_id, category, pos, *counts = decode(raw)
@@ -338,7 +338,8 @@ def _load_csv(path: str, days: int) -> Dataset:
                 f" (pass days=N for a different grid length)"
             )
         return Dataset._from_columns(_read_rows(
-            ((row_no, cells) for row_no, cells in enumerate(reader, start=2) if cells), decode
+            ((row_no, cells) for row_no, cells in enumerate(reader, start=2) if cells),
+            decode, days,
         ))
 
 
@@ -369,20 +370,24 @@ def _load_jsonl(path: str, days: int) -> Dataset:
 
     with open(path, "r", encoding="utf-8") as fh:
         return Dataset._from_columns(_read_rows(
-            ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()), decode
+            ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()),
+            decode, days,
         ))
 
 
-def load_dataset(path, fmt: str | None = None, days: int = DAYS_DEFAULT) -> Dataset:
-    """Load a CSV or JSONL dataset; format inferred from the extension."""
-    path = os.fspath(path)
-    if fmt is None:
-        fmt = "jsonl" if path.endswith((".jsonl", ".ndjson", ".json")) else "csv"
-    if fmt == "csv":
-        return _load_csv(path, days)
-    if fmt == "jsonl":
-        return _load_jsonl(path, days)
-    raise DatasetError(f"unknown dataset format {fmt!r}")
+def _is_jsonl(path) -> bool:
+    """The format rule: .jsonl, .ndjson and .json files are JSONL, any other is CSV."""
+    return os.fspath(path).endswith((".jsonl", ".ndjson", ".json"))
+
+
+def load_dataset(path, *, days: int = DAYS_DEFAULT) -> Dataset:
+    """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`."""
+    return (_load_jsonl if _is_jsonl(path) else _load_csv)(os.fspath(path), days)
+
+
+def write_dataset(ds: Dataset, path: str) -> None:
+    """Write a CSV or JSONL dataset, the format chosen by `_is_jsonl`."""
+    (write_jsonl if _is_jsonl(path) else write_csv)(ds, path)
 
 
 def _rows_out(ds: Dataset):
@@ -397,10 +402,9 @@ def _rows_out(ds: Dataset):
 
 
 def write_csv(ds: Dataset, path: str) -> None:
-    days = ds.positions.shape[1] if len(ds) else DAYS_DEFAULT
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(days))
+        writer.writerow(_header(ds.positions.shape[1]))
         writer.writerows(
             [pid, category, *positions, *counts]
             for pid, category, positions, counts in _rows_out(ds)
@@ -441,9 +445,6 @@ class GeneratorConfig:
     category_count: int = 10
     noise_sigma: float = 0.0
     seed: int = 0
-    metric_means: Mapping[str, tuple[float, float, float]] = field(
-        default_factory=lambda: dict(_METRIC_MEANS_DEFAULT)
-    )
 
     def __post_init__(self) -> None:
         if self.n_records < 1:
@@ -464,9 +465,6 @@ class GeneratorConfig:
         if abs(total - 1.0) > 1e-9:
             raise DatasetError(f"pattern_mix shares must sum to 1, got {total}")
         object.__setattr__(self, "pattern_mix", mix)
-        means = dict(_METRIC_MEANS_DEFAULT)
-        means.update(self.metric_means)
-        object.__setattr__(self, "metric_means", means)
 
 
 def _exact_counts(patterns: list[str], shares: list[float], total: int) -> list[int]:
@@ -558,7 +556,7 @@ def generate(config: GeneratorConfig) -> Dataset:
         category = f"c{cat_i}"
         for pattern, count in zip(mix_names, counts):
             builder = _PATTERN_BUILDERS[pattern]
-            mean_impr, mean_clicks, mean_purch = config.metric_means[pattern]
+            mean_impr, mean_clicks, mean_purch = _METRIC_MEANS[pattern]
             for _ in range(count):
                 positions = builder(rng)
                 if config.noise_sigma > 0:

@@ -26,13 +26,13 @@ temporal interval [0, 0] is rejected as singular.
 reach compares x to the target rank r with an equality tolerance of 0.5 by
 default (the position channel is real valued); the miss tests compare to the
 exact -1 sentinel with the standard 1e-9 tolerance. Both can be overridden
-through PropertyParams.eq_tolerance.
+with the eq_tolerance parameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .core.formula import (
@@ -209,30 +209,18 @@ def _build_formula(name: str, params: PropertyParams) -> Formula:
     raise PropertyError(f"unknown property {name!r}; expected one of {PROPERTY_NAMES}")
 
 
-def build(name: str, params: PropertyParams | None = None, **overrides) -> PropertySpec:
-    """Build a property from defaults plus explicit parameters.
-
-    Either pass a PropertyParams or keyword overrides (w=..., epsilon=...,
-    d=..., s=..., r=..., eq_tolerance=...). Unknown names or invalid
-    parameter values raise PropertyError naming the field.
+def build(name: str, **overrides) -> PropertySpec:
+    """Build a property from its defaults plus keyword overrides (w=...,
+    epsilon=..., d=..., s=..., r=..., eq_tolerance=...). Unknown names or
+    invalid parameter values raise PropertyError naming the field.
     """
     if name not in _DEFAULTS:
         raise PropertyError(f"unknown property {name!r}; expected one of {PROPERTY_NAMES}")
-    if params is not None and overrides:
-        raise PropertyError(f"{name}: pass params or keyword overrides, not both")
-    if params is None:
-        merged = dict(_DEFAULTS[name])
-        for key, value in overrides.items():
-            if key not in PropertyParams.__dataclass_fields__:
-                raise PropertyError(f"{name}: unknown parameter {key!r}")
-            merged[key] = value
-        params = PropertyParams(**merged)
-    else:
-        filled = {k: v for k, v in _DEFAULTS[name].items() if getattr(params, k) is None}
-        if filled:
-            params = replace(params, **filled)
-    formula = _build_formula(name, params)
-    return PropertySpec(name=name, params=params, formula=formula)
+    for key in overrides:
+        if key not in PropertyParams.__dataclass_fields__:
+            raise PropertyError(f"{name}: unknown parameter {key!r}")
+    params = PropertyParams(**{**_DEFAULTS[name], **overrides})
+    return PropertySpec(name=name, params=params, formula=_build_formula(name, params))
 
 
 def default_library(**overrides) -> list[PropertySpec]:

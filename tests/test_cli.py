@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -19,7 +20,7 @@ from stlrank import (
     print_formula,
     write_csv,
 )
-from stlrank.cli import main
+from stlrank.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -377,6 +378,57 @@ def test_expand_past_the_node_budget_is_a_usage_error(capsys):
     code = main(["expand", "--formula", "F(G(F(x < 1)))", "--horizon", "300"])
     assert code == 2
     assert "grounded nodes" in capsys.readouterr().err
+
+
+def test_generate_and_rates_read_one_format_rule(tmp_path, capsys):
+    outs = []
+    for name in ("d.csv", "d.json"):
+        path = tmp_path / name
+        assert main(["generate", "-o", str(path), "--n", "120", "--categories", "3",
+                     "--mix", "flat=0.5,spiky=0.5", "--seed", "4"]) == 0
+        capsys.readouterr()
+        assert main(["rates", "-i", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert (tmp_path / "d.json").read_text().startswith('{"product_id"')
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "-i", "data.csv"], "formula mentions unknown channel 'a'"),
+    (["expand", "--horizon", "3"], "cannot ground channel 'a' over a day horizon"),
+], ids=["check", "expand"])
+def test_unknown_channel_text_does_not_depend_on_the_hash_seed(argv, message, dataset):
+    for seed in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "stlrank", *argv, "--formula", "a < 1 & b < 1 & c < 1"],
+            cwd=dataset.parent, env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (2, f"error: {message}\n")
+
+
+def test_cli_option_strings_are_pinned():
+    """Adding or removing a flag must update this list."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}
+    surface[None] = sorted(s for a in parser._actions for s in a.option_strings)
+    dataset = ["--complete-only", "--days", "--input", "-i"]
+    params = ["--d", "--epsilon", "--param", "--r", "--s", "--w"]
+    formula = ["--formula", "--formula-file", "--property"]
+    common = ["--help", "-h"]
+    assert surface == {
+        None: sorted(common + ["--version"]),
+        "check": sorted(common + dataset + params + formula + ["--each", "--strict-until"]),
+        "rates": sorted(common + dataset + params + ["--emit-plot-data", "--output", "-o"]),
+        "metrics": sorted(common + dataset + params + ["--output", "-o"]),
+        "generate": sorted(common + ["--categories", "--labels", "--mix", "--n",
+                                     "--noise-sigma", "--output", "--seed", "-o"]),
+        "expand": sorted(common + params + formula + ["--horizon", "--query", "--output", "-o"]),
+        "kmeans": sorted(common + dataset + ["--emit-plot-data", "--k", "--max-iter",
+                                             "--output", "--seed", "-o"]),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from stlrank import (
     write_csv,
     write_jsonl,
 )
-from stlrank.ingest import labels_path_for, write_labels
+from stlrank.ingest import labels_path_for, write_dataset, write_labels
 
 MIX = {"cold": 0.3, "flat": 0.5, "spiky": 0.2}
 
@@ -229,12 +229,12 @@ def test_generator_is_deterministic():
 
 def test_generator_counts_are_exact_per_category():
     ds = generate(GeneratorConfig(n_records=1000, pattern_mix=MIX, seed=1))
-    per_cat = ds.by_category()
-    assert len(per_cat) == 10
-    for cat, recs in per_cat.items():
+    assert len(ds.categories) == 10
+    for code in range(len(ds.categories)):
         counts = {}
-        for rec in recs:
-            counts[ds.planted[rec.product_id]] = counts.get(ds.planted[rec.product_id], 0) + 1
+        for pid, c in zip(ds.ids, ds.category_codes):
+            if c == code:
+                counts[ds.planted[pid]] = counts.get(ds.planted[pid], 0) + 1
         assert counts == {"cold": 30, "flat": 50, "spiky": 20}
 
 
@@ -316,6 +316,21 @@ def test_days_override(tmp_path):
     assert len(ds.records[0].positions) == 2
     with pytest.raises(SchemaError):
         load_dataset(str(tmp_path / "short.csv"))  # default expects 14
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_a_file_with_no_records_keeps_its_day_count(suffix, tmp_path):
+    header = "product_id,category,pos_0,pos_1,pos_2,impressions,clicks,purchases\n"
+    path = tmp_path / ("empty" + suffix)
+    path.write_text(header if suffix == ".csv" else "")
+    ds = load_dataset(str(path), days=3)
+    assert ds.positions.shape == (0, 3)
+    assert filter_complete(ds).positions.shape == (0, 3)
+    again = tmp_path / ("again" + suffix)
+    write_dataset(ds, str(again))
+    assert again.read_text() == path.read_text()
+    assert load_dataset(str(again), days=3).positions.shape == (0, 3)
+    assert Dataset().positions.shape == (0, 14)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,6 @@ def test_parameter_validation():
         build("ditch", w=-2)
     with pytest.raises(PropertyError):
         build("no_long_miss", w=2.5)
-    with pytest.raises(PropertyError):
-        build("flat_start", PropertyParams(w=3), epsilon=2.0)
     # fractional windows are fine where the property is not day-counting
     build("ditch", w=1.5)
 
