@@ -521,6 +521,8 @@ def cluster_kmeans(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     matrix, included = _impute_rows(ds)
     X = matrix[included]
     if len(X) < k:

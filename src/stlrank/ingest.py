@@ -21,6 +21,12 @@ and appends the row to the `Dataset` columns: ids, category codes, a
 Writers emit one canonical form, so load followed by write reproduces the
 file byte for byte.
 
+A CSV file goes first to a bulk path (`_bulk_csv`): one `np.loadtxt` pass
+over the numeric cells, the value rules checked over whole columns. It never
+raises; a file it cannot take as it stands (a quote, a carriage return, a
+blank line, an odd cell, a rule broken) goes to the row path, which gives
+the result or the error text.
+
 `position_channels` turns a record's positions, or a dataset's (records,
 days) matrix, into the evaluable signals: channel "x" with the positions
 verbatim (sentinels included) and channel "d1(x)" with the one-day
@@ -55,7 +61,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -316,7 +322,59 @@ def _read_rows(
             np.frombuffer(counters, dtype=np.int64).reshape(len(ids), len(COUNTERS)))
 
 
-def _load_csv(path: str, days: int) -> Dataset:
+# The characters a numeric cell may hold on the bulk CSV path. numpy's
+# integer parser reads "5\x1c" as 5 and "5Ǿ5" as 5125, where int() fails.
+_NUMERIC_BYTES = b"0123456789.+-eE,\n"
+
+
+def _bulk_csv(fh, days: int) -> tuple | None:
+    """The `Dataset` columns of the CSV file `fh`: the numeric cells parsed
+    by one `np.loadtxt` pass, the value rules of `_check_record` checked as
+    column predicates. None, for the row path to decide, when the header is
+    not `_header(days)` and a newline or no row follows it; a line holds a
+    quote, a carriage return or no text after its second comma, or is longer
+    than `csv.field_size_limit()`; a numeric cell holds a character outside
+    0-9 . + - e E or `loadtxt` rejects one; a rule fails; or an id repeats."""
+    if days < 1:
+        return None
+    ids, category_index, codes = [], {}, array("q")
+    field_limit = csv.field_size_limit()
+
+    def numeric_cells(lines):
+        for line in lines:
+            product_id, category, tail = line.split(",", 2)
+            # loadtxt would skip an empty tail. The charset check also finds a
+            # carriage return, since it ends a line.
+            if (tail in ("", "\n") or '"' in line or len(line) > field_limit
+                    or tail.encode().translate(None, _NUMERIC_BYTES)):
+                raise ValueError
+            ids.append(product_id)
+            codes.append(category_index.setdefault(category, len(category_index)))
+            yield tail
+
+    dtype = [("positions", np.float64, (days,)), ("counters", np.int64, (len(COUNTERS),))]
+    try:  # a ValueError, UnicodeDecodeError included, leaves the file to the row path
+        if fh.readline() != ",".join(_header(days)) + "\n":
+            return None
+        first = fh.readline()
+        if not first:  # loadtxt would warn that it found no data
+            return None
+        table = np.loadtxt(numeric_cells(chain([first], fh)), dtype=dtype, delimiter=",",
+                           comments=None, ndmin=1)
+    except ValueError:
+        return None
+    positions = np.ascontiguousarray(table["positions"])
+    counters = np.ascontiguousarray(table["counters"])
+    if not (np.all(((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING))
+            and np.all(counters >= 0) and all(ids) and "" not in category_index
+            and len(set(ids)) == len(ids)):
+        return None
+    return (ids, list(category_index), np.frombuffer(codes, dtype=np.int64), positions,
+            counters)
+
+
+def _csv_rows(fh, days: int) -> tuple:
+    """The `Dataset` columns of the CSV file `fh`, read and checked row by row."""
     header = _header(days)
     pos_columns, counter_columns = header[2:2 + days], header[2 + days:]
 
@@ -327,20 +385,28 @@ def _load_csv(path: str, days: int) -> Dataset:
         counters = _numbers(int, cells[2 + days:], counter_columns, "an integer")
         return (cells[0], cells[1], positions, *counters)
 
+    reader = csv.reader(fh)
+    first = next(reader, None)
+    if first is None:
+        raise SchemaError(f"{fh.name}: empty file")
+    if first != header:
+        raise SchemaError(
+            f"{fh.name}: bad header; expected {','.join(header)!r}"
+            f" (pass days=N for a different grid length)"
+        )
+    return _read_rows(
+        ((row_no, cells) for row_no, cells in enumerate(reader, start=2) if cells),
+        decode, days,
+    )
+
+
+def _load_csv(path: str, days: int) -> Dataset:
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise SchemaError(f"{path}: empty file")
-        if first != header:
-            raise SchemaError(
-                f"{path}: bad header; expected {','.join(header)!r}"
-                f" (pass days=N for a different grid length)"
-            )
-        return Dataset._from_columns(_read_rows(
-            ((row_no, cells) for row_no, cells in enumerate(reader, start=2) if cells),
-            decode, days,
-        ))
+        columns = _bulk_csv(fh, days)
+        if columns is None:
+            fh.seek(0)
+            columns = _csv_rows(fh, days)
+    return Dataset._from_columns(columns)
 
 
 _JSONL_KEYS = ("product_id", "category", "positions", "impressions", "clicks", "purchases")

@@ -210,6 +210,12 @@ def test_kmeans_distortion_never_increases():
     assert np.array_equal(result.centroids, again.centroids)
 
 
+@pytest.mark.parametrize("max_iter", [0, -2])
+def test_kmeans_needs_at_least_one_iteration(max_iter):
+    with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+        cluster_kmeans(separated_dataset(), k=2, max_iter=max_iter)
+
+
 def test_kmeans_excludes_fully_missing_records():
     recs = [ProductRecord(f"p{i}", "c0", (float(10 + i),) * 14, 1, 1, 1) for i in range(5)]
     recs.append(ProductRecord("gone", "c0", (-1.0,) * 14, 1, 1, 1))

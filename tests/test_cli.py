@@ -224,6 +224,73 @@ def test_kmeans_on_a_file_with_no_records(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least k=2 usable records, have 0\n"
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-2"])
+def test_kmeans_max_iter_below_one_is_a_usage_error(max_iter, dataset, capsys):
+    assert main(["kmeans", "-i", str(dataset), "--k", "2", "--max-iter", max_iter]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_iter must be at least 1\n"
+
+
+RATES_OF_NO_RECORDS = """\
+category  property      satisfied  total  rate
+(all)     flat_start            0      0    NA
+(all)     cold_start            0      0    NA
+(all)     warm_start            0      0    NA
+(all)     steady_state          0      0    NA
+(all)     reach                 0      0    NA
+(all)     ditch                 0      0    NA
+(all)     spike                 0      0    NA
+(all)     no_init_miss          0      0    NA
+(all)     no_long_miss          0      0    NA
+"""
+RATES_OF_ONE_FLAT_RECORD = """\
+category  property      satisfied  total    rate
+c0        flat_start            1      1  1.0000
+c0        cold_start            0      1  0.0000
+c0        warm_start            0      1  0.0000
+c0        steady_state          1      1  1.0000
+c0        reach                 0      1  0.0000
+c0        ditch                 0      1  0.0000
+c0        spike                 0      1  0.0000
+c0        no_init_miss          1      1  1.0000
+c0        no_long_miss          1      1  1.0000
+(all)     flat_start            1      1  1.0000
+(all)     cold_start            0      1  0.0000
+(all)     warm_start            0      1  0.0000
+(all)     steady_state          1      1  1.0000
+(all)     reach                 0      1  0.0000
+(all)     ditch                 0      1  0.0000
+(all)     spike                 0      1  0.0000
+(all)     no_init_miss          1      1  1.0000
+(all)     no_long_miss          1      1  1.0000
+"""
+
+
+@pytest.mark.parametrize("rows,rates,records", [
+    ("", RATES_OF_NO_RECORDS, 0),
+    ("p1,c0," + "5," * 14 + "10,1,0\n", RATES_OF_ONE_FLAT_RECORD, 1),
+], ids=["header-only", "one-row"])
+def test_small_csv_files_print_no_warning(rows, rates, records, tmp_path):
+    """Run with every warning shown: stderr holds the error line or nothing."""
+    header = ["product_id", "category", *(f"pos_{i}" for i in range(14)),
+              "impressions", "clicks", "purchases"]
+    (tmp_path / "small.csv").write_text(",".join(header) + "\n" + rows)
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "stlrank", *args, "-i", "small.csv"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True, timeout=60,
+        )
+
+    done = run("rates")
+    assert (done.returncode, done.stdout, done.stderr) == (0, rates, "")
+    done = run("kmeans", "--k", "2")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: need at least k=2 usable records, have {records}\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["check"]) == 2
     assert main(["unknown-subcommand"]) == 2

@@ -1,9 +1,10 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stlrank import (
@@ -22,7 +23,13 @@ from stlrank import (
     write_csv,
     write_jsonl,
 )
-from stlrank.ingest import labels_path_for, write_dataset, write_labels
+from stlrank.ingest import (
+    _bulk_csv,
+    _csv_rows,
+    labels_path_for,
+    write_dataset,
+    write_labels,
+)
 
 MIX = {"cold": 0.3, "flat": 0.5, "spiky": 0.2}
 
@@ -303,7 +310,7 @@ def test_labels_sidecar(tmp_path):
     write_csv(ds, str(path))
     sidecar = labels_path_for(str(path))
     write_labels(ds, sidecar)
-    lines = open(sidecar).read().splitlines()
+    lines = Path(sidecar).read_text().splitlines()
     assert lines[0] == "product_id,planted_pattern"
     assert len(lines) == 31
     assert lines[1].startswith("p000000,")
@@ -411,3 +418,122 @@ def test_mutated_jsonl_rows_load_or_name_their_row(row, in_positions, edits, tmp
     lines[row] = "{" + ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in pairs) + "}"
     path.write_text("\n".join(lines) + "\n")
     check_mutated_load(path, bad_row=1 + row)
+
+
+# ---------------------------------------------------------------------------
+# The bulk CSV path and the per-row path give the same columns, or the same
+# SchemaError text, for the same file.
+# ---------------------------------------------------------------------------
+
+# Texts numpy's parsers read differently from float() and int(), or that the
+# bulk path must leave to the per-row path.
+BULK_TEXTS = CSV_TEXTS + ["5\u01fe5", "5\x1c", "\x1d5", "\u0661", "1_000", " 5", "+5", "05",
+                          "-0", "1e3", "1.0", "5.", ".5", "--5", "5-", "9223372036854775807",
+                          "9223372036854775808"]
+LAYOUTS = ["plain", "quoted", "crlf", "blank line", "header only", "no final newline"]
+POSITION, COUNTER = 3, -2  # pos_1 and clicks, on either grid
+
+
+def columns_or_error(path, days, read):
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            columns = read(fh, days)
+        except (SchemaError, csv.Error) as exc:  # csv.Error: a cell over the csv field limit
+            return f"{type(exc).__name__}: {exc}"
+    if columns is None:
+        return None
+    ids, categories, codes, positions, counters = columns
+    return (ids, categories, codes.dtype, codes.tolist(), positions.dtype, positions.shape,
+            positions.tobytes(), counters.dtype, counters.tolist())
+
+
+def load_columns(fh, days):
+    ds = load_dataset(fh.name, days=days)
+    return ds.ids, ds.categories, ds.category_codes, ds.positions, ds.counters
+
+
+def write_mutated_csv(path, days, row, edits, layout):
+    """FUZZ_BASE on a `days` grid with edits to one row's cells, written in
+    `layout`."""
+    write_csv(FUZZ_BASE, str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [cells[:2 + days] + cells[-3:] for cells in csv.reader(fh)]
+    rows[1 + row] = apply_edits(rows[1 + row], edits)
+    if layout == "header only":
+        rows = rows[:1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\r\n" if layout == "crlf" else "\n",
+                   quoting=csv.QUOTE_ALL if layout == "quoted" else csv.QUOTE_MINIMAL,
+                   ).writerows(rows)
+    text = path.read_text(encoding="utf-8")
+    if layout == "blank line":
+        lines = text.split("\n")
+        text = "\n".join([*lines[:2 + row], "", *lines[2 + row:]])
+    elif layout == "no final newline":
+        text = text[:-1]
+    path.write_text(text, encoding="utf-8")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(days=st.sampled_from([14, 3]), row=st.integers(0, 2), edits=st_edits(BULK_TEXTS),
+       layout=st.one_of(st.just("plain"), st.sampled_from(LAYOUTS)))
+@example(days=14, row=1, edits=[("replace", COUNTER, "5\u01fe5")], layout="plain")
+@example(days=14, row=1, edits=[("replace", POSITION, "5\u01fe5")], layout="plain")
+@example(days=14, row=1, edits=[("replace", COUNTER, "5\x1c")], layout="plain")
+@example(days=14, row=1, edits=[("replace", POSITION, "5\x1c")], layout="plain")
+@example(days=14, row=0, edits=[("replace", COUNTER, "\u0661")], layout="plain")
+@example(days=14, row=0, edits=[("replace", POSITION, "1_000")], layout="plain")
+@example(days=14, row=2, edits=[("replace", COUNTER, " 5")], layout="plain")
+@example(days=14, row=2, edits=[("replace", COUNTER, "+5")], layout="plain")
+@example(days=14, row=2, edits=[("replace", POSITION, "05")], layout="plain")
+@example(days=14, row=2, edits=[("replace", COUNTER, "-0")], layout="plain")
+@example(days=14, row=2, edits=[("replace", POSITION, "inf")], layout="plain")
+@example(days=14, row=1, edits=[("replace", POSITION, "0.5")], layout="plain")
+@example(days=14, row=1, edits=[("replace", POSITION, "1e400")], layout="plain")
+@example(days=14, row=1, edits=[("replace", COUNTER, "-1")], layout="plain")
+@example(days=14, row=1, edits=[("replace", 0, "")], layout="plain")
+@example(days=14, row=1, edits=[("replace", 1, "")], layout="plain")
+@example(days=14, row=1, edits=[("replace", 0, "p000000")], layout="plain")
+@example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="quoted")
+@example(days=14, row=0, edits=[("replace", 0, 'p"1')], layout="plain")
+@example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="crlf")
+@example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="blank line")
+@example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="header only")
+@example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="no final newline")
+@example(days=3, row=0, edits=[("replace", POSITION, "7")], layout="plain")
+def test_bulk_and_per_row_csv_paths_agree(days, row, edits, layout, tmp_path):
+    path = tmp_path / "fuzz.csv"
+    write_mutated_csv(path, days, row, edits, layout)
+    per_row = columns_or_error(path, days, _csv_rows)
+    assert columns_or_error(path, days, load_columns) == per_row
+    bulk = columns_or_error(path, days, _bulk_csv)
+    if bulk is not None:
+        assert bulk == per_row
+
+
+@pytest.mark.parametrize("days", [14, 3])
+def test_bulk_csv_path_reads_a_canonical_file(days, tmp_path):
+    path = tmp_path / "plain.csv"
+    write_mutated_csv(path, days, 0, [("replace", POSITION, "7")], "plain")
+    assert columns_or_error(path, days, _bulk_csv) == columns_or_error(path, days, _csv_rows)
+
+
+TINY_HEADER = "product_id,category,pos_0,pos_1,pos_2,impressions,clicks,purchases\n"
+
+
+@pytest.mark.parametrize("rows", [
+    "",
+    "p1,c0,\n",
+    "p1,c0,",
+    "p1,c0,5,5,5,1,1,1\np2,c0,\np3,c0,5,5,5,1,1,1\n",
+    "p1,c0,5,5,5,1,1,1\n\n",
+    "p1,c0,5,5,5,1,1,1\r\n",
+    "x" * (csv.field_size_limit() + 1) + ",c0,5,5,5,1,1,1\n",
+], ids=["header-only", "no-numbers", "no-numbers-no-newline", "no-numbers-between",
+        "blank-line", "crlf", "longer-than-a-csv-field"])
+def test_bulk_csv_path_declines_what_loadtxt_would_skip_or_csv_reject(rows, tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY_HEADER + rows, encoding="utf-8")
+    assert columns_or_error(path, 3, _bulk_csv) is None
+    assert columns_or_error(path, 3, load_columns) == columns_or_error(path, 3, _csv_rows)
