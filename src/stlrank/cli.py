@@ -42,11 +42,11 @@ from .ingest import (
     write_labels,
 )
 from .parser import ParseError, parse_formula, print_formula
-from .props import PROPERTY_NAMES, build, default_library
+from .props import PROPERTY_NAMES, PropertyParams, build, default_library
 
 __all__ = ["main", "entry"]
 
-_PARAM_FIELDS = ("w", "epsilon", "d", "s", "r", "eq_tolerance")
+_PARAM_FIELDS = tuple(PropertyParams.__dataclass_fields__)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

@@ -385,8 +385,16 @@ def _csv_rows(fh, days: int) -> tuple:
         counters = _numbers(int, cells[2 + days:], counter_columns, "an integer")
         return (cells[0], cells[1], positions, *counters)
 
-    reader = csv.reader(fh)
-    first = next(reader, None)
+    def numbered_rows():
+        row_no = 0
+        try:  # csv.Error: a cell longer than csv.field_size_limit()
+            for row_no, cells in enumerate(csv.reader(fh), start=1):
+                yield row_no, cells
+        except csv.Error as exc:
+            raise SchemaError(f"row {row_no + 1}: {exc}") from None
+
+    rows = numbered_rows()
+    _, first = next(rows, (1, None))
     if first is None:
         raise SchemaError(f"{fh.name}: empty file")
     if first != header:
@@ -394,10 +402,7 @@ def _csv_rows(fh, days: int) -> tuple:
             f"{fh.name}: bad header; expected {','.join(header)!r}"
             f" (pass days=N for a different grid length)"
         )
-    return _read_rows(
-        ((row_no, cells) for row_no, cells in enumerate(reader, start=2) if cells),
-        decode, days,
-    )
+    return _read_rows(((row_no, cells) for row_no, cells in rows if cells), decode, days)
 
 
 def _load_csv(path: str, days: int) -> Dataset:
@@ -519,6 +524,8 @@ class GeneratorConfig:
             raise DatasetError("category_count must be at least 1")
         if self.noise_sigma < 0:
             raise DatasetError("noise_sigma must be non-negative")
+        if not math.isfinite(self.noise_sigma):
+            raise DatasetError(f"noise_sigma must be finite, got {self.noise_sigma}")
         mix = dict(self.pattern_mix)
         if not mix:
             raise DatasetError("pattern_mix must not be empty")

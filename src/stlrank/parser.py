@@ -15,12 +15,16 @@ Grammar (loosest binding first):
     factor     := "-" factor | "abs" "(" expr ")" | number
                 | ident | "d1" "(" ident ")" | "(" expr ")"
     interval   := "[" number "," (number | "inf") "]"
+    number     := ([0-9]+ ("." [0-9]*)? | "." [0-9]+) ([eE] [+-]? [0-9]+)?
 
-Notes: an omitted interval means [0, inf]; `G`, `F`, `U` are case sensitive
-and, with `true`, `false`, `inf`, `abs`, reserved; `d1(x)` names the derived
-channel "d1(x)" as a single variable; `=` is accepted as an alias for `==`;
-a minus applied directly to a number literal folds into a signed constant so
-that printing and reparsing preserve structure; comparisons do not chain.
+Notes: digits are ASCII, so a number reads back every float `print_formula`
+writes (`1e-05`, `1e+16`), and one past the float range is an error; an
+identifier starts with a letter or `_`; an omitted interval means [0, inf];
+`G`, `F`, `U` are case sensitive and, with `true`, `false`, `inf`, `abs`,
+reserved; `d1(x)` names the derived channel "d1(x)" as a single variable;
+`=` is accepted as an alias for `==`; a minus applied directly to a number
+literal folds into a signed constant so that printing and reparsing preserve
+structure; comparisons do not chain.
 
 `print_formula` renders with explicit parentheses on operator bodies (the
 form shown in the docs, for example `G[0,3](x <= 0)`), and
@@ -37,6 +41,7 @@ chains in loops; the depth of the tree is checked once it is built.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -73,8 +78,11 @@ MAX_DEPTH = 100
 
 _RESERVED = {"true", "false", "inf", "abs", "G", "F", "U"}
 
-_TWO_CHAR = ("->", "<=", ">=", "==", "!=")
-_ONE_CHAR = "<>=!&|+-*()[],"
+# One token after optional whitespace, or the character no token starts at.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>\w+)|(?P<op>->|<=|>=|==|!=|[<>=!&|+\-*()\[\],])|(?P<bad>\S))"
+)
 
 
 @dataclass(frozen=True)
@@ -107,41 +115,14 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     toks: list[_Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                if src[j] == ".":
-                    seen_dot = True
-                j += 1
-            toks.append(_Token("num", src[i:j], i, j))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", src[i:j], i, j))
-            i = j
-            continue
-        two = src[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Token("op", two, i, i + 2))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Token("op", c, i, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(i, i + 1))
-    toks.append(_Token("eof", "", n, n))
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        # \w+ also starts at a digit that is not ASCII, or at "²"; no token does.
+        if kind == "bad" or kind == "ident" and not (src[start].isalpha() or src[start] == "_"):
+            raise ParseError(f"unexpected character {src[start]!r}", SourceSpan(start, start + 1))
+        toks.append(_Token(kind, src[start:end], start, end))
+    toks.append(_Token("eof", "", len(src), len(src)))
     return toks
 
 
@@ -176,6 +157,15 @@ class _Parser:
     @staticmethod
     def _describe(tok: _Token) -> str:
         return "end of input" if tok.kind == "eof" else f"token {tok.text!r}"
+
+    def number(self) -> float:
+        """Consume a number token. A literal past the float range is an
+        error, not infinity."""
+        tok = self.advance()
+        value = float(tok.text)
+        if math.isinf(value):
+            raise ParseError("number out of range", tok.span)
+        return value
 
     def open_bracket(self) -> None:
         """Consume a "("; the caller closes it with `self.depth -= 1` after
@@ -329,8 +319,7 @@ class _Parser:
             self.depth -= 1
             return e
         if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
+            return Const(self.number())
         if tok.kind == "ident":
             if tok.text == "abs":
                 self.advance()
@@ -367,20 +356,19 @@ class _Parser:
         lo_tok = self.peek()
         if lo_tok.kind != "num":
             raise ParseError(f"unexpected {self._describe(lo_tok)}", lo_tok.span, ("number",))
-        self.advance()
+        lo = self.number()
         self.expect_op(",")
         hi_tok = self.peek()
         if hi_tok.kind == "num":
-            hi = float(hi_tok.text)
+            hi = self.number()
         elif hi_tok.kind == "ident" and hi_tok.text == "inf":
+            self.advance()
             hi = math.inf
         else:
             raise ParseError(
                 f"unexpected {self._describe(hi_tok)}", hi_tok.span, ("number", "'inf'")
             )
-        self.advance()
         close_tok = self.expect_op("]")
-        lo = float(lo_tok.text)
         if not lo < hi:
             raise ParseError(
                 f"non-singular interval required (lo < hi), got [{lo_tok.text},{hi_tok.text}]",

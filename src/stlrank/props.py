@@ -1,17 +1,10 @@
 """The ranking-behaviour property library.
 
 Nine named properties over a daily ranking-position channel `x` (smaller is
-better, -1 marks a missing day) and its one-day difference channel `d1(x)`:
-
-    flat_start(w, epsilon)   G[0,w](|d1(x)| < epsilon)
-    cold_start(w)            G[0,w](d1(x) <= 0) & F[0,w](d1(x) < 0)
-    warm_start(w)            G[0,w](d1(x) >= 0) & F[0,w](d1(x) > 0)
-    steady_state(w, epsilon) F[0,w] G(|d1(x)| < epsilon)
-    reach(s, r)              G((x < s) -> F(x = r))
-    ditch(d, w)              F((d1(x) > d) & F[0,w](d1(x) < -d))
-    spike(d, w)              F((d1(x) < -d) & F[0,w](d1(x) > d))
-    no_init_miss(w)          !(G[0,w] x = -1)
-    no_long_miss(w)          G((x = -1) -> F[0,w] !(x = -1))
+better, -1 marks a missing day) and its one-day difference channel `d1(x)`.
+`_SHAPES` gives each one as formula text in the surface syntax of
+`stlrank.parser`, with its parameters as `{field}` placeholders, and `build`
+fills them in and parses the result.
 
 cold_start reads "only gains positions early on" because a position gain is
 a decrease of the position number; ditch is a one-day loss of more than d
@@ -24,31 +17,20 @@ ditch, and spike windows are reals. Every window must be positive, since a
 temporal interval [0, 0] is rejected as singular.
 
 reach compares x to the target rank r with an equality tolerance of 0.5 by
-default (the position channel is real valued); the miss tests compare to the
-exact -1 sentinel with the standard 1e-9 tolerance. Both can be overridden
-with the eq_tolerance parameter.
+default (the position channel is real valued), which the eq_tolerance
+parameter overrides. The miss tests compare to the exact -1 sentinel with
+the standard 1e-9 tolerance, whatever eq_tolerance says.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core.formula import (
-    Abs,
-    And,
-    Atom,
-    Const,
-    Eventually,
-    Formula,
-    Globally,
-    Implies,
-    Interval,
-    Not,
-    Predicate,
-    Var,
-)
+from .core.formula import Formula
+from .parser import _fmt_num, parse_formula, print_formula
 
 __all__ = [
     "PROPERTY_NAMES",
@@ -60,23 +42,22 @@ __all__ = [
     "describe",
 ]
 
-X = Var("x")
-DX = Var("d1(x)")
-
 MISS_TOLERANCE = 1e-9
 REACH_TOLERANCE = 0.5
 
-PROPERTY_NAMES = (
-    "flat_start",
-    "cold_start",
-    "warm_start",
-    "steady_state",
-    "reach",
-    "ditch",
-    "spike",
-    "no_init_miss",
-    "no_long_miss",
-)
+_SHAPES: Mapping[str, str] = {
+    "flat_start": "G[0,{w}](abs(d1(x)) < {epsilon})",
+    "cold_start": "G[0,{w}](d1(x) <= 0) & F[0,{w}](d1(x) < 0)",
+    "warm_start": "G[0,{w}](d1(x) >= 0) & F[0,{w}](d1(x) > 0)",
+    "steady_state": "F[0,{w}](G(abs(d1(x)) < {epsilon}))",
+    "reach": "G(x < {s} -> F(x == {r}))",
+    "ditch": "F(d1(x) > {d} & F[0,{w}](d1(x) < -{d}))",
+    "spike": "F(d1(x) < -{d} & F[0,{w}](d1(x) > {d}))",
+    "no_init_miss": "!(G[0,{w}](x == -1))",
+    "no_long_miss": "G(x == -1 -> F[0,{w}](!(x == -1)))",
+}
+
+PROPERTY_NAMES = tuple(_SHAPES)
 
 _DEFAULTS: Mapping[str, dict] = {
     "flat_start": {"w": 3, "epsilon": 1.0},
@@ -137,76 +118,19 @@ def _window(name: str, params: PropertyParams) -> float:
     return w
 
 
-def _miss() -> Formula:
-    return Atom(Predicate(X, "==", Const(-1.0), MISS_TOLERANCE))
-
-
 def _build_formula(name: str, params: PropertyParams) -> Formula:
-    if name == "flat_start":
-        w = _window(name, params)
-        eps = _require(name, params, "epsilon")
-        return Globally(Interval(0, w), Atom(Predicate(Abs(DX), "<", Const(eps))))
-    if name == "cold_start":
-        w = _window(name, params)
-        win = Interval(0, w)
-        return And(
-            Globally(win, Atom(Predicate(DX, "<=", Const(0.0)))),
-            Eventually(win, Atom(Predicate(DX, "<", Const(0.0)))),
-        )
-    if name == "warm_start":
-        w = _window(name, params)
-        win = Interval(0, w)
-        return And(
-            Globally(win, Atom(Predicate(DX, ">=", Const(0.0)))),
-            Eventually(win, Atom(Predicate(DX, ">", Const(0.0)))),
-        )
-    if name == "steady_state":
-        w = _window(name, params)
-        eps = _require(name, params, "epsilon")
-        inner = Globally(Interval(0, math.inf), Atom(Predicate(Abs(DX), "<", Const(eps))))
-        return Eventually(Interval(0, w), inner)
+    """Check the fields of `name`'s shape in the order they appear, then
+    parse the shape with their values written in."""
+    shape = _SHAPES[name]
+    fields = dict.fromkeys(re.findall(r"\{(\w+)\}", shape))
+    values = {
+        fld: _fmt_num(_window(name, params) if fld == "w" else _require(name, params, fld))
+        for fld in fields
+    }
+    tol = MISS_TOLERANCE
     if name == "reach":
-        s = _require(name, params, "s")
-        r = _require(name, params, "r")
         tol = REACH_TOLERANCE if params.eq_tolerance is None else float(params.eq_tolerance)
-        target = Atom(Predicate(X, "==", Const(r), tol))
-        return Globally(
-            Interval(0, math.inf),
-            Implies(
-                Atom(Predicate(X, "<", Const(s))),
-                Eventually(Interval(0, math.inf), target),
-            ),
-        )
-    if name == "ditch":
-        d = _require(name, params, "d")
-        w = _window(name, params)
-        return Eventually(
-            Interval(0, math.inf),
-            And(
-                Atom(Predicate(DX, ">", Const(d))),
-                Eventually(Interval(0, w), Atom(Predicate(DX, "<", Const(-d)))),
-            ),
-        )
-    if name == "spike":
-        d = _require(name, params, "d")
-        w = _window(name, params)
-        return Eventually(
-            Interval(0, math.inf),
-            And(
-                Atom(Predicate(DX, "<", Const(-d))),
-                Eventually(Interval(0, w), Atom(Predicate(DX, ">", Const(d)))),
-            ),
-        )
-    if name == "no_init_miss":
-        w = _window(name, params)
-        return Not(Globally(Interval(0, w), _miss()))
-    if name == "no_long_miss":
-        w = _window(name, params)
-        return Globally(
-            Interval(0, math.inf),
-            Implies(_miss(), Eventually(Interval(0, w), Not(_miss()))),
-        )
-    raise PropertyError(f"unknown property {name!r}; expected one of {PROPERTY_NAMES}")
+    return parse_formula(shape.format(**values), eq_tolerance=tol)
 
 
 def build(name: str, **overrides) -> PropertySpec:
@@ -236,6 +160,4 @@ def default_library(**overrides) -> list[PropertySpec]:
 
 def describe(spec: PropertySpec) -> str:
     """Canonical text of the property's formula, parseable by the parser."""
-    from .parser import print_formula
-
     return print_formula(spec.formula)

@@ -2,9 +2,9 @@
 generators, and Hypothesis strategies for the differential tests.
 
 Formulas built by the seeded generators round-trip through the printer and
-parser as equal ASTs, so they avoid the two shapes the parser normalizes
+parser as equal ASTs, so they avoid the one shape the parser normalizes
 away: a negation applied directly to a constant (folded into a signed
-constant) and constants whose repr uses exponent notation.
+constant).
 """
 
 import numpy as np

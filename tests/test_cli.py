@@ -63,6 +63,11 @@ def test_check_each_lists_records(dataset, capsys):
     assert sum(1 for ln in lines if "\t" in ln) == 200
 
 
+def test_check_reads_a_number_in_exponent_form(dataset, capsys):
+    assert main(["check", "-i", str(dataset), "--formula", "G[0,3](abs(d1(x)) < 1e-5)"]) == 0
+    assert "formula: G[0,3](abs(d1(x)) < 1e-05)" in capsys.readouterr().out
+
+
 def test_check_rejects_bad_interval(dataset, capsys):
     code = main(["check", "-i", str(dataset), "--formula", "G[3,1](x < 0)"])
     assert code == 2
@@ -160,6 +165,7 @@ MALFORMED_ROWS = [
     ("csv", {"product_id": "p1"}, "row 3: duplicate product_id 'p1'"),
     ("csv", {"impressions": "9" * 401},
      f"row 3: record 'p2': impressions must be below 2**63, got {'9' * 401}"),
+    ("csv", {"product_id": "x" * 140_000}, "row 3: field larger than field limit (131072)"),
     ("jsonl", {"pos_13": None}, "row 2: column 'pos_13': not a number: None"),
     ("jsonl", {"pos_13": "5"}, "row 2: column 'pos_13': not a number: '5'"),
     ("jsonl", {"pos_13": True}, "row 2: column 'pos_13': not a number: True"),
@@ -352,6 +358,15 @@ def test_generate_invalid_mix(tmp_path, capsys):
         ["generate", "-o", str(tmp_path / "x.csv"), "--n", "10", "--mix", "flat"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_generate_needs_a_finite_noise_sigma(sigma, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["generate", "-o", str(out), "--n", "10", "--mix", "flat=1.0", "--noise-sigma", sigma]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: noise_sigma must be finite, got {sigma}\n"
+    assert not out.exists()
 
 
 def test_generate_jsonl_format(tmp_path):

@@ -438,7 +438,7 @@ def columns_or_error(path, days, read):
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             columns = read(fh, days)
-        except (SchemaError, csv.Error) as exc:  # csv.Error: a cell over the csv field limit
+        except SchemaError as exc:
             return f"{type(exc).__name__}: {exc}"
     if columns is None:
         return None

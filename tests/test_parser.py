@@ -1,18 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from stlrank import (
     Abs,
+    Add,
     And,
     Atom,
     Const,
     Eventually,
+    FALSE,
     Globally,
     Implies,
     Interval,
+    Mul,
+    Neg,
+    Not,
     Or,
     ParseError,
     Predicate,
+    Sub,
     TRUE,
     Until,
     Var,
@@ -22,6 +32,7 @@ from stlrank import (
     print_formula,
     traceset_from_positions,
 )
+from stlrank.core.formula import COMPARISONS
 from stlrank.parser import MAX_DEPTH
 from gen_support import random_formula
 
@@ -135,6 +146,39 @@ def test_unexpected_character_is_reported():
     assert err.value.span.start == 4
 
 
+@pytest.mark.parametrize("src, offset, char", [
+    ("x < ²", 4, "²"),  # a digit to str.isdigit, but no number
+    ("x < ١", 4, "١"),  # an Arabic-Indic one, which float() would read
+    ("x < 5²", 5, "²"),
+    ("²x < 1", 0, "²"),
+])
+def test_digits_are_ascii(src, offset, char):
+    with pytest.raises(ParseError) as err:
+        parse_formula(src)
+    assert str(err.value) == f"unexpected character {char!r} at offset {offset}"
+
+
+def test_numbers_take_an_exponent():
+    assert parse_formula("x < 1e-5") == parse_formula("x < 0.00001")
+    assert parse_formula("G[0,2E+1](x >= .5e1)") == parse_formula("G[0,20](x >= 5)")
+    assert print_formula(parse_formula("x < 1e-5")) == "x < 1e-05"
+    # without digits after it, the "e" is an identifier of its own
+    with pytest.raises(ParseError, match="unexpected token 'e' at offset 5"):
+        parse_formula("x < 1e")
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("x < 1e309", 4),
+    ("x < 1" + "0" * 400, 4),
+    ("G[0,1e400](x < 1)", 4),  # not the unbounded [0,inf]
+    ("F[1e999,inf](x < 1)", 2),
+], ids=["1e309", "401-digits", "window-hi", "window-lo"])
+def test_number_past_the_float_range_is_an_error(src, offset):
+    with pytest.raises(ParseError) as err:
+        parse_formula(src)
+    assert str(err.value) == f"number out of range at offset {offset}"
+
+
 def test_comparison_chaining_is_rejected():
     with pytest.raises(ParseError):
         parse_formula("0 < x < 1")
@@ -165,6 +209,54 @@ def test_roundtrip_on_source_text():
     for src in sources:
         f = parse_formula(src)
         assert parse_formula(print_formula(f)) == f
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def st_any_float_terms():
+    """Terms over every finite constant; a minus is never put directly on a
+    constant, as the parser folds it into the constant."""
+    leaves = st.one_of(FINITE.map(Const), st.sampled_from(["x", "d1(x)"]).map(Var))
+    return st.recursive(leaves, lambda t: st.one_of(
+        st.builds(Add, t, t), st.builds(Sub, t, t), st.builds(Mul, t, t), st.builds(Abs, t),
+        t.filter(lambda e: not isinstance(e, Const)).map(Neg),
+    ), max_leaves=3)
+
+
+@st.composite
+def st_any_float_intervals(draw):
+    bound = st.floats(min_value=0.0, allow_infinity=False)
+    lo, hi = sorted((draw(bound), draw(st.one_of(bound, st.just(math.inf)))))
+    assume(lo < hi)
+    return Interval(lo, hi)
+
+
+def st_any_float_formulas():
+    atoms = st.builds(Predicate, st_any_float_terms(), st.sampled_from(COMPARISONS),
+                      st_any_float_terms()).map(Atom)
+    return st.recursive(st.one_of(st.just(TRUE), st.just(FALSE), atoms), lambda f: st.one_of(
+        st.builds(Not, f), st.builds(And, f, f), st.builds(Or, f, f), st.builds(Implies, f, f),
+        st.builds(Eventually, st_any_float_intervals(), f),
+        st.builds(Globally, st_any_float_intervals(), f),
+        st.builds(Until, st_any_float_intervals(), f, f),
+    ), max_leaves=5)
+
+
+def x_below(value):
+    return Atom(Predicate(Var("x"), "<", Const(value)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st_any_float_formulas())
+@example(f=Globally(Interval(1e-05, 2.0), x_below(1e-05)))
+@example(f=Eventually(Interval(0.0, 1e+16), x_below(-1e+16)))
+@example(f=Until(Interval(5e-324, 1.0), TRUE, x_below(5e-324)))
+@example(f=Globally(Interval(1.0, 1.7976931348623157e+308), x_below(1.7976931348623157e+308)))
+def test_roundtrip_keeps_every_finite_float(f):
+    """Constants and window bounds print in exponent form where repr uses
+    it, and the lexer reads them back to the same floats."""
+    assert parse_formula(print_formula(f)) == f
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlrank import (
     PROPERTY_NAMES,
@@ -12,6 +16,7 @@ from stlrank import (
     parse_formula,
     traceset_from_positions,
 )
+from stlrank.props import _SHAPES
 
 D = 14  # generator day grid
 
@@ -45,11 +50,49 @@ def test_formula_surface_text():
     assert text["no_long_miss"] == "G(x == -1 -> F[0,3](!(x == -1)))"
 
 
-def test_describe_parses_back_to_the_same_formula():
-    for name in PROPERTY_NAMES:
-        spec = build(name)
-        tol = 0.5 if name == "reach" else 1e-9
-        assert parse_formula(describe(spec), eq_tolerance=tol) == spec.formula
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_table_shows_each_shape():
+    table = README.read_text(encoding="utf-8").split("## Property library", 1)[1]
+    rows = [line.split("|") for line in table.split("\n\n", 2)[1].splitlines()[2:]]
+    shown = {cells[1].strip(" `"): cells[3].strip(" `") for cells in rows}
+    fields = {"w": "w", "epsilon": "eps", "d": "d", "s": "s", "r": "r"}
+    assert shown == {name: shape.format(**fields) for name, shape in _SHAPES.items()}
+
+
+DAY_COUNT_WINDOWS = {"flat_start", "cold_start", "warm_start", "no_init_miss", "no_long_miss"}
+
+
+@st.composite
+def st_valid_params(draw):
+    name = draw(st.sampled_from(PROPERTY_NAMES))
+    real = st.floats(allow_nan=False, allow_infinity=False)
+    if name in DAY_COUNT_WINDOWS:
+        w = draw(st.integers(1, 2**60))
+    else:
+        w = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    tol = st.none() | st.floats(min_value=0.0, allow_infinity=False)
+    return name, dict(w=w, epsilon=draw(real), d=draw(real), s=draw(real), r=draw(real),
+                      eq_tolerance=draw(tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_valid_params())
+def test_describe_parses_back_to_the_same_formula(name_params):
+    name, params = name_params
+    spec = build(name, **params)
+    tol = 1e-9
+    if name == "reach":
+        tol = 0.5 if params["eq_tolerance"] is None else params["eq_tolerance"]
+    assert parse_formula(describe(spec), eq_tolerance=tol) == spec.formula
+
+
+def test_eq_tolerance_sets_only_the_reach_target():
+    assert build("no_long_miss", eq_tolerance=0.5).formula == build("no_long_miss").formula
+    assert build("no_init_miss", eq_tolerance=0.5).formula == build("no_init_miss").formula
+    reach = parse_formula("G(x < 10 -> F(x == 1))", eq_tolerance=0.1)
+    assert build("reach", eq_tolerance=0.1).formula == reach
 
 
 def test_parameter_validation():
@@ -65,6 +108,11 @@ def test_parameter_validation():
         build("no_long_miss", w=2.5)
     # fractional windows are fine where the property is not day-counting
     build("ditch", w=1.5)
+    # the fields are checked in the order the shape names them
+    with pytest.raises(PropertyError, match=r"^ditch: parameter 'd' must be finite$"):
+        build("ditch", d=float("nan"), w=0)
+    with pytest.raises(PropertyError, match=r"^flat_start: parameter 'w' must be positive, got 0.0$"):
+        build("flat_start", w=0, epsilon=float("inf"))
 
 
 def test_flat_start_window_and_epsilon():
