@@ -310,9 +310,15 @@ def _formula_horizon(f: Formula, horizon: int) -> int:
     return horizon if chans == {"x"} else horizon - 1
 
 
-def _ground(f: Formula, t: int, last: int, nodes) -> object:
+def _counted(node: object, nodes) -> object:
+    """`node`, once counted against MAX_GROUNDED_NODES."""
     if next(nodes) > MAX_GROUNDED_NODES:
         raise ExpansionError(f"expansion exceeds {MAX_GROUNDED_NODES} grounded nodes")
+    return node
+
+
+def _ground(f: Formula, t: int, last: int, nodes) -> object:
+    _counted(f, nodes)
     if isinstance(f, TrueFormula):
         return True
     if isinstance(f, FalseFormula):
@@ -334,9 +340,11 @@ def _ground(f: Formula, t: int, last: int, nodes) -> object:
         days = range(math.ceil(t + f.interval.lo), stop + 1)
         if not days:
             return identity
-        return (GAnd if identity else GOr)(
-            tuple(identity if u > last else _ground(f.operand, u, last, nodes) for u in days)
-        )
+        # Slots past the end count too, so a window of 1e15 days fails fast.
+        return (GAnd if identity else GOr)(tuple(
+            _counted(identity, nodes) if u > last else _ground(f.operand, u, last, nodes)
+            for u in days
+        ))
     if isinstance(f, Until):
         raise ExpansionError("until is not supported by propositional expansion")
     raise ExpansionError(f"cannot ground {type(f).__name__}")

@@ -185,7 +185,7 @@ class Implies:
 class Until:
     """left holds from now through the witness time at which right holds.
 
-    The witness is quantified over sample times in the shifted window; the
+    The witness is quantified over the days in the shifted window; the
     default semantics require left at the witness time itself (see the
     semantics module for the strict variant).
     """

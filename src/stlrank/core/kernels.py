@@ -2,17 +2,18 @@
 
 Each kernel answers one window query for every position of a boolean array
 in a single vectorized pass, along the last axis of one trace (n,) or of
-many traces on one grid (R, n). Windows arrive as inclusive index bounds
-lo[i]..hi[i], shared by all rows, that are non-decreasing in i, because
-they come from sliding a fixed real interval along a sorted time grid.
+many traces on one grid (R, n). The grid is days 0..n-1, so position i is
+day i. Windows arrive as inclusive index bounds lo[i]..hi[i], shared by all
+rows, that are non-decreasing in i, because they come from sliding a fixed
+real interval along the days.
 Empty windows (hi < lo, or lo past the end) produce the quantifier
 identity: False for "any", True for "all".
 
 The window queries read a running count off one prefix sum, the boolean
 degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046), in O(n).
 The until scan combines run lengths of the left operand with next-witness
-indices of the right one (reverse running minima), O(n). Window bounds on
-a gap-free day grid are index offsets, O(n); other grids use searchsorted.
+indices of the right one (reverse running minima), O(n). Window bounds are
+index offsets, O(n).
 
 The evaluator calls every kernel as an attribute of this module
 (`kernels.window_any(...)`), so a profiler can wrap them here.
@@ -115,29 +116,20 @@ def until_scan(
 
 def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float):
     """Inclusive index bounds of the window [t + lo_shift, t + hi_shift]
-    around every sample time t; bounds past the ends mark empty windows.
-
-    On a gap-free day grid (times[k] = times[0] + k) the bounds are plain
-    index offsets, in O(n); other grids use searchsorted.
+    around every day t of `times`, the grid 0..n-1; bounds past the ends
+    mark empty windows. O(n).
     """
-    t = np.asarray(times)
-    n = t.shape[0]
-    if n and t.dtype.kind in "iu" and int(t[-1]) - int(t[0]) + 1 == n:
-        # Times strictly increase, so a span of n days has no gaps. Samples
-        # < t_k + lo_shift number k + ceil(lo_shift) and samples
-        # <= t_k + hi_shift number k + floor(hi_shift) + 1, clipped to 0..n.
-        k = np.arange(n, dtype=np.int64)
-        lo = k + math.ceil(_clamp(float(lo_shift), n))
-        np.maximum(lo, 0, out=lo)
-        np.minimum(lo, n, out=lo)
-        hi = k + math.floor(_clamp(float(hi_shift), n))
-        np.maximum(hi, -1, out=hi)
-        np.minimum(hi, n - 1, out=hi)
-        return lo, hi
-    tf = t.astype(np.float64)
-    lo = np.searchsorted(tf, tf + float(lo_shift), side="left")
-    hi = np.searchsorted(tf, tf + float(hi_shift), side="right") - 1
-    return lo.astype(np.int64), hi.astype(np.int64)
+    n = len(times)
+    # Days < k + lo_shift number k + ceil(lo_shift) and days <= k + hi_shift
+    # number k + floor(hi_shift) + 1, clipped to 0..n.
+    k = np.arange(n, dtype=np.int64)
+    lo = k + math.ceil(_clamp(float(lo_shift), n))
+    np.maximum(lo, 0, out=lo)
+    np.minimum(lo, n, out=lo)
+    hi = k + math.floor(_clamp(float(hi_shift), n))
+    np.maximum(hi, -1, out=hi)
+    np.minimum(hi, n - 1, out=hi)
+    return lo, hi
 
 
 def _clamp(shift: float, n: int) -> float:

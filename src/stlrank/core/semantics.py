@@ -2,24 +2,24 @@
 
 Semantics
 ---------
-Quantifiers range over sample times only. A shifted window t + [lo, hi] picks
-up exactly the sample times t' with t + lo <= t' <= t + hi (closed real
-comparison, no snapping), so an "exists" over an empty window is False and a
-"for all" is True; in particular, at the last sample G[a,b] with a > 0 holds
-and F[a,b] with a > 0 does not.
+Quantifiers range over the days of the evaluation grid only. A shifted
+window t + [lo, hi] picks up exactly the days t' with t + lo <= t' <= t + hi
+(closed real comparison, no snapping), so an "exists" over an empty window
+is False and a "for all" is True; in particular, on the last day G[a,b] with
+a > 0 holds and F[a,b] with a > 0 does not.
 
 `until` requires its left operand from the current time through the witness
-time inclusive: w,t |= f1 U_I f2 iff some sample t' in t + I satisfies f2 and
-f1 holds at every sample of [t, t'], including t' itself. That inclusive
+time inclusive: w,t |= f1 U_I f2 iff some day t' in t + I satisfies f2 and
+f1 holds on every day of [t, t'], including t' itself. That inclusive
 endpoint is the default everywhere; passing until_strict=True to either
 evaluator excludes the witness time (f1 on [t, t') only), which differs
-exactly when f1 fails at the witness sample. F/G are unaffected because
+exactly when f1 fails on the witness day. F/G are unaffected because
 their (true U ...) desugaring trivially satisfies the extra obligation.
 
-The evaluation grid of a formula is the intersection of the day grids of the
-channels it mentions (all channels, for channel-free formulas); a trace set
-whose channels share one grid evaluates on exactly that grid. A whole-trace
-verdict is satisfaction at the first grid time.
+Every channel is sampled on days 0..n_c-1 (see `trace`). A formula is
+evaluated on days 0..n-1, n the length of the shortest channel it mentions,
+or of all channels if it mentions none; so anything reading d1(x) stops one
+day before x does. A whole-trace verdict is satisfaction at day 0.
 
 Evaluators
 ----------
@@ -30,13 +30,12 @@ it costs O(n^2) per temporal operator and is only meant for short traces.
 `eval_fast` computes one boolean array per subformula, bottom-up. Bounded
 and unbounded F/G windows become one sliding-window any/all pass over the
 array, and U becomes one run-length plus next-witness scan, so every
-operator costs O(n) on a day grid (Donze, Ferrere & Maler, CAV 2013) and
+operator costs O(n) on the day grid (Donze, Ferrere & Maler, CAV 2013) and
 the whole evaluation O(n * |formula|). The array passes live in `kernels`.
-Both evaluators agree bit for bit at every sample time.
+Both evaluators agree bit for bit at every day.
 
-`eval_rows` runs the same pass over R traces on days 0..n-1 at once, each
-node an (R, n) array whose window bounds serve all rows; datasets are
-evaluated this way.
+`eval_rows` runs the same pass over R traces at once, each node an (R, n)
+array whose window bounds serve all rows; datasets are evaluated this way.
 
 Both evaluators, and the grounded evaluator of propositional expansion, read
 terms through `eval_term` and comparisons through `eval_predicate`; numpy
@@ -75,7 +74,7 @@ from .formula import (
     Var,
     channels_of,
 )
-from .trace import TraceSet
+from .trace import TraceSet, is_day
 
 
 class EvaluationError(Exception):
@@ -87,7 +86,7 @@ class UnknownChannelError(EvaluationError):
 
 
 class SampleTimeError(EvaluationError):
-    """The requested time is not a sample time of the evaluation grid."""
+    """The requested time is not a day of the evaluation grid."""
 
 
 @dataclass(frozen=True)
@@ -99,39 +98,29 @@ class Verdict:
     per_time: np.ndarray
 
     def at(self, t: int) -> bool:
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or int(self.times[i]) != int(t):
+        if not is_day(t, self.per_time.size):
             raise SampleTimeError(f"t={t} is not on the evaluation grid")
-        return bool(self.per_time[i])
+        return bool(self.per_time[int(t)])
+
+
+def _grid_length(f: Formula, lengths: dict[str, int]) -> int:
+    """n of the days 0..n-1 `f` is evaluated on (see the module docstring);
+    `lengths` gives each channel's length."""
+    names = channels_of(f) or lengths
+    for name in sorted(names):
+        if name not in lengths:
+            raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
+    return min(lengths[name] for name in names)
 
 
 def evaluation_grid(f: Formula, w: TraceSet) -> np.ndarray:
-    """Sample times a formula is evaluated on: see the module docstring."""
-    chans = channels_of(f)
-    for name in sorted(chans):
-        if name not in w:
-            raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
-    try:
-        return w.common_times(sorted(chans) if chans else None)
-    except Exception as exc:
-        raise EvaluationError(str(exc)) from exc
-
-
-def _values_on_grid(w: TraceSet, name: str, grid: np.ndarray) -> np.ndarray:
-    if name not in w:
-        raise UnknownChannelError(f"unknown channel {name!r}")
-    tr = w[name]
-    if tr.times.size == grid.size and bool(np.array_equal(tr.times, grid)):
-        return tr.values
-    pos = np.searchsorted(tr.times, grid)
-    if bool(np.any(pos >= tr.times.size)) or not bool(np.array_equal(tr.times[pos], grid)):
-        raise SampleTimeError(f"channel {name!r} is not sampled on the whole grid")
-    return tr.values[pos]
+    """Days a formula is evaluated on: see the module docstring."""
+    return np.arange(_grid_length(f, {tr.channel: len(tr) for tr in w}), dtype=np.int64)
 
 
 def eval_term(e, value_of):
     """Value of an arithmetic term. `value_of(name)` gives a channel's value,
-    a float at one sample time or an array over a grid; a term that
+    a float on one day or an array over a grid; a term that
     mentions no channel comes out as a float."""
     if isinstance(e, Const):
         return e.value
@@ -204,26 +193,20 @@ def _node_on_grid(
 
 
 def eval_fast(f: Formula, w: TraceSet, *, until_strict: bool = False) -> Verdict:
-    """Evaluate at every grid time in one bottom-up pass; O(n * |formula|)."""
+    """Evaluate at every day of the grid in one bottom-up pass; O(n * |formula|)."""
     grid = evaluation_grid(f, w)
-    per_time = _node_on_grid(
-        f, lambda name: _values_on_grid(w, name, grid), grid, grid.shape, until_strict
-    )
+    n = grid.size
+    per_time = _node_on_grid(f, lambda name: w[name].values[:n], grid, grid.shape, until_strict)
     return Verdict(satisfied=bool(per_time[0]), times=grid, per_time=per_time)
 
 
 def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray:
     """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
     of row r. `channels` maps each name to an (R, n_c) matrix on days
-    0..n_c-1, so the evaluation grid is days 0..n-1 for the shortest channel
-    the formula mentions (of all channels, if it mentions none). Channels of
-    one trace, (n_c,) each, give a 0-d verdict."""
-    names = channels_of(f) or frozenset(channels)
-    for name in sorted(names):
-        if name not in channels:
-            raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
-    n = min(channels[c].shape[-1] for c in names)
-    shape = channels[next(iter(names))].shape[:-1] + (n,)
+    0..n_c-1; the evaluation grid is as for `eval_fast`. Channels of one
+    trace, (n_c,) each, give a 0-d verdict."""
+    n = _grid_length(f, {name: values.shape[-1] for name, values in channels.items()})
+    shape = next(iter(channels.values())).shape[:-1] + (n,)
     grid = np.arange(n, dtype=np.int64)
     per_time = _node_on_grid(f, lambda name: channels[name][..., :n], grid, shape, until_strict)
     return per_time[..., 0]
@@ -243,8 +226,8 @@ def _value_at(w: TraceSet, name: str, t: int) -> float:
 
 
 def eval_expr(e, w: TraceSet, t: int) -> float:
-    """Value of a term at sample time t (t must be sampled by every channel
-    the term mentions)."""
+    """Value of a term at day t (t must be a day of every channel the term
+    mentions)."""
     return eval_term(e, lambda name: _value_at(w, name, t))
 
 
@@ -292,13 +275,11 @@ def eval_naive(
     f: Formula, w: TraceSet, t: int | None = None, *, until_strict: bool = False
 ) -> bool:
     """Reference evaluator: recursive transcription of the semantics at one
-    sample time of the formula's evaluation grid (the first when t is
-    omitted, matching Verdict.satisfied)."""
+    day of the formula's evaluation grid (day 0 when t is omitted, matching
+    Verdict.satisfied)."""
     grid = evaluation_grid(f, w)
     if t is None:
-        i = 0
-    else:
-        i = int(np.searchsorted(grid, t))
-        if i >= grid.size or int(grid[i]) != int(t):
-            raise SampleTimeError(f"t={t} is not on the evaluation grid")
-    return _naive(f, w, grid, i, until_strict)
+        t = 0
+    elif not is_day(t, grid.size):
+        raise SampleTimeError(f"t={t} is not on the evaluation grid")
+    return _naive(f, w, grid, int(t), until_strict)

@@ -1,4 +1,4 @@
-"""Traces: named signals sampled on integer day grids, and bundles of them."""
+"""Traces: named signals sampled on days 0..n-1, and bundles of them."""
 
 from __future__ import annotations
 
@@ -11,12 +11,18 @@ class TraceError(ValueError):
     """A trace or trace set violates a structural invariant."""
 
 
-class Trace:
-    """A finite real-valued signal with strictly increasing integer day stamps.
+def is_day(t, n: int) -> bool:
+    """Whether t is one of the days 0..n-1; an integral float counts."""
+    return 0 <= t < n and t == int(t)
 
-    Values must be finite; the missing-data sentinel -1.0 is legal and is
-    treated as an ordinary number by the evaluators. Instances are immutable:
-    the backing arrays are marked read-only.
+
+class Trace:
+    """A finite real-valued signal with one sample on each of days 0..n-1.
+
+    `times` must be exactly 0, 1, ..., n-1. Values must be finite; the
+    missing-data sentinel -1.0 is legal and is treated as an ordinary number
+    by the evaluators. Instances are immutable: the backing arrays are
+    marked read-only.
     """
 
     __slots__ = ("channel", "times", "values")
@@ -24,54 +30,45 @@ class Trace:
     def __init__(self, channel: str, times, values) -> None:
         if not isinstance(channel, str) or not channel:
             raise TraceError("channel name must be a non-empty string")
-        t = np.array(times, dtype=np.int64, copy=True)
         v = np.array(values, dtype=np.float64, copy=True)
-        if t.ndim != 1 or v.ndim != 1:
-            raise TraceError(f"channel {channel!r}: times and values must be 1-d")
-        if t.size != v.size:
-            raise TraceError(
-                f"channel {channel!r}: {t.size} times vs {v.size} values"
-            )
-        if t.size == 0:
+        if v.ndim != 1:
+            raise TraceError(f"channel {channel!r}: values must be 1-d")
+        if v.size == 0:
             raise TraceError(f"channel {channel!r}: needs at least one sample")
-        if t[0] < 0:
-            raise TraceError(f"channel {channel!r}: negative time {t[0]}")
-        if t.size > 1 and not bool(np.all(np.diff(t) > 0)):
-            raise TraceError(f"channel {channel!r}: times must be strictly increasing")
+        days = np.arange(v.size, dtype=np.int64)
+        if not bool(np.array_equal(times, days)):
+            raise TraceError(f"channel {channel!r}: times must be the days 0..{v.size - 1}")
         if not bool(np.all(np.isfinite(v))):
             raise TraceError(f"channel {channel!r}: values must be finite")
-        t.setflags(write=False)
+        days.setflags(write=False)
         v.setflags(write=False)
         self.channel = channel
-        self.times = t
+        self.times = days
         self.values = v
 
     def __len__(self) -> int:
         return int(self.times.size)
 
     def has_time(self, t: int) -> bool:
-        i = int(np.searchsorted(self.times, t))
-        return i < self.times.size and int(self.times[i]) == int(t)
+        """Whether t is one of the days 0..n-1 of this trace."""
+        return is_day(t, len(self))
 
     def value_at(self, t: int) -> float:
-        """Value at sample time t. Raises TraceError if t is not sampled."""
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or int(self.times[i]) != int(t):
+        """Value at day t. Raises TraceError if t is not sampled."""
+        if not self.has_time(t):
             raise TraceError(f"channel {self.channel!r}: no sample at t={t}")
-        return float(self.values[i])
+        return float(self.values[int(t)])
 
     def __repr__(self) -> str:
-        return f"Trace({self.channel!r}, n={len(self)}, t0={int(self.times[0])})"
+        return f"Trace({self.channel!r}, n={len(self)})"
 
 
 class TraceSet:
     """A bundle of traces keyed by unique channel name.
 
-    Channels normally share one day grid. A derived channel (for example the
-    discrete derivative of a 14-sample signal) has one sample fewer, so grids
-    are allowed to differ per channel; evaluation quantifies over the
-    intersection of the grids of the channels a formula actually mentions,
-    which coincides with the shared grid whenever grids are identical.
+    Channels may differ in length: the discrete derivative of a 14-day signal
+    has 13 days. A formula is evaluated on the days every channel it
+    mentions carries, days 0..n-1 of the shortest of them.
     """
 
     __slots__ = ("_traces",)
@@ -108,24 +105,8 @@ class TraceSet:
         return len(self._traces)
 
     def common_times(self, channels: Iterable[str] | None = None) -> np.ndarray:
-        """Sorted intersection of the day grids of the given channels.
-
-        With no argument, intersects every channel in the set. Raises
-        TraceError when a channel is unknown or the intersection is empty.
-        """
-        names = list(channels) if channels is not None else list(self._traces)
-        if not names:
-            names = list(self._traces)
-        grid: np.ndarray | None = None
-        for name in names:
-            tr = self[name]
-            if grid is None:
-                grid = tr.times
-            elif grid.shape == tr.times.shape and bool(np.array_equal(grid, tr.times)):
-                continue
-            else:
-                grid = np.intersect1d(grid, tr.times, assume_unique=True)
-        assert grid is not None
-        if grid.size == 0:
-            raise TraceError(f"channels {names!r} share no sample times")
-        return grid
+        """Days 0..n-1 that all the given channels sample, n the length of
+        the shortest; every channel in the set when none are given. Raises
+        TraceError when a channel is unknown."""
+        names = list(channels) if channels is not None else []
+        return np.arange(min(len(self[c]) for c in names or self._traces), dtype=np.int64)

@@ -363,8 +363,7 @@ def _bulk_csv(fh, days: int) -> tuple | None:
                            comments=None, ndmin=1)
     except ValueError:
         return None
-    positions = np.ascontiguousarray(table["positions"])
-    counters = np.ascontiguousarray(table["counters"])
+    positions, counters = table["positions"], table["counters"]
     if not (np.all(((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING))
             and np.all(counters >= 0) and all(ids) and "" not in category_index
             and len(set(ids)) == len(ids)):
@@ -423,7 +422,7 @@ def _load_jsonl(path: str, days: int) -> Dataset:
     def decode(line: str) -> tuple:
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an int too long to convert
+        except (ValueError, RecursionError) as exc:  # also a too-long int, deep nesting
             raise SchemaError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise SchemaError("expected an object")

@@ -18,8 +18,9 @@ temporal interval [0, 0] is rejected as singular.
 
 reach compares x to the target rank r with an equality tolerance of 0.5 by
 default (the position channel is real valued), which the eq_tolerance
-parameter overrides. The miss tests compare to the exact -1 sentinel with
-the standard 1e-9 tolerance, whatever eq_tolerance says.
+parameter, a finite non-negative real, overrides. The miss tests compare to
+the exact -1 sentinel with the standard 1e-9 tolerance, whatever
+eq_tolerance says.
 """
 
 from __future__ import annotations
@@ -103,7 +104,12 @@ def _require(name: str, params: PropertyParams, fld: str) -> float:
     value = getattr(params, fld)
     if value is None:
         raise PropertyError(f"{name}: missing parameter {fld!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    except (TypeError, ValueError):
+        raise PropertyError(f"{name}: parameter {fld!r} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
         raise PropertyError(f"{name}: parameter {fld!r} must be finite")
     return value
@@ -129,7 +135,11 @@ def _build_formula(name: str, params: PropertyParams) -> Formula:
     }
     tol = MISS_TOLERANCE
     if name == "reach":
-        tol = REACH_TOLERANCE if params.eq_tolerance is None else float(params.eq_tolerance)
+        tol = REACH_TOLERANCE
+        if params.eq_tolerance is not None:
+            tol = _require(name, params, "eq_tolerance")
+            if tol < 0:
+                raise PropertyError(f"{name}: parameter 'eq_tolerance' must be non-negative, got {tol}")
     return parse_formula(shape.format(**values), eq_tolerance=tol)
 
 

@@ -116,14 +116,12 @@ def random_values(rng, n):
 
 
 def random_traceset(rng, channels, max_len=20):
-    """Per-channel grids that always share time 0, sometimes strided so the
-    evaluation grid is a strict intersection."""
+    """Channels of mixed lengths, each on days 0..n-1, so a formula's
+    evaluation grid is the shortest channel it mentions."""
     traces = []
     for name in channels:
         n = int(rng.integers(1, max_len + 1))
-        step = 2 if rng.random() < 0.3 else 1
-        times = np.arange(n, dtype=np.int64) * step
-        traces.append(Trace(name, times, random_values(rng, n)))
+        traces.append(Trace(name, np.arange(n), random_values(rng, n)))
     return TraceSet(traces)
 
 

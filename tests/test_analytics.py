@@ -136,6 +136,16 @@ def test_expansion_node_budget():
     with pytest.raises(ExpansionError, match=f"{MAX_GROUNDED_NODES} grounded nodes"):
         expand_propositional(parse_formula("F(G(F(x < 1)))"), 300)
     assert time.perf_counter() - start < 15.0
+    # Window slots past the horizon count too: the root and its slots fit
+    # the budget exactly, one slot more does not, and a window of 1e15 days
+    # fails without building them.
+    fits = expand_propositional(parse_formula(f"F[0,{MAX_GROUNDED_NODES - 2}](x < 1)"), 3)
+    assert len(fits.root.children) == MAX_GROUNDED_NODES - 1
+    for hi in (MAX_GROUNDED_NODES - 1, "1e15"):
+        start = time.perf_counter()
+        with pytest.raises(ExpansionError, match=f"{MAX_GROUNDED_NODES} grounded nodes"):
+            expand_propositional(parse_formula(f"F[0,{hi}](x < 1)"), 3)
+        assert time.perf_counter() - start < 15.0
     # The library stays far inside the budget at the default horizon.
     counts = {
         spec.name: (report.operator_count, report.atom_count)

@@ -145,6 +145,15 @@ def test_jsonl_ids_and_categories_must_be_strings(column, value, tmp_path, capsy
     assert "row 1" in captured.err and f"{column!r}: not a string" in captured.err
 
 
+def test_deeply_nested_jsonl_line_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 100_000 + "\n")
+    assert main(["rates", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: row 1: invalid JSON: ")
+
+
 # One malformed row after a good one, in each format: (format, overrides of
 # the bad row's fields, the whole stderr). A "pos_i" key overrides one
 # position; CSV overrides are the cell texts, JSONL overrides the JSON values.
@@ -457,9 +466,10 @@ def test_rates_complete_only_drops_a_category_left_empty(tmp_path):
 
 
 def test_expand_past_the_node_budget_is_a_usage_error(capsys):
-    code = main(["expand", "--formula", "F(G(F(x < 1)))", "--horizon", "300"])
-    assert code == 2
-    assert "grounded nodes" in capsys.readouterr().err
+    for formula, horizon in (("F(G(F(x < 1)))", "300"), ("F[0,1e15](x < 1)", "3")):
+        code = main(["expand", "--formula", formula, "--horizon", horizon])
+        assert code == 2
+        assert capsys.readouterr().err == "error: expansion exceeds 500000 grounded nodes\n"
 
 
 def test_generate_and_rates_read_one_format_rule(tmp_path, capsys):

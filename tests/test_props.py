@@ -113,6 +113,19 @@ def test_parameter_validation():
         build("ditch", d=float("nan"), w=0)
     with pytest.raises(PropertyError, match=r"^flat_start: parameter 'w' must be positive, got 0.0$"):
         build("flat_start", w=0, epsilon=float("inf"))
+    # every bad value names the property and the field
+    for value in ("abc", [1], {}):
+        with pytest.raises(PropertyError, match=r"^ditch: parameter 'd' must be a real number, got "):
+            build("ditch", d=value)
+    with pytest.raises(PropertyError, match=r"^ditch: parameter 'd' must be finite$"):
+        build("ditch", d=10**400)
+    for value in (float("nan"), float("inf"), 10**400):
+        with pytest.raises(PropertyError, match=r"^reach: parameter 'eq_tolerance' must be finite$"):
+            build("reach", eq_tolerance=value)
+    with pytest.raises(PropertyError, match=r"^reach: parameter 'eq_tolerance' must be non-negative, got -1.0$"):
+        build("reach", eq_tolerance=-1)
+    with pytest.raises(PropertyError, match=r"^reach: parameter 'eq_tolerance' must be a real number, got 'x'$"):
+        build("reach", eq_tolerance="x")
 
 
 def test_flat_start_window_and_epsilon():

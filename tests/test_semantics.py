@@ -31,11 +31,8 @@ from gen_support import random_formula, random_traceset
 FULL = Interval(0, float("inf"))
 
 
-def xtrace(values, times=None):
-    values = list(values)
-    if times is None:
-        times = range(len(values))
-    return TraceSet([Trace("x", list(times), values)])
+def xtrace(values):
+    return TraceSet([Trace("x", range(len(values)), values)])
 
 
 def cmp(op, c, name="x"):
@@ -123,9 +120,10 @@ def test_whole_trace_verdict_is_first_grid_time():
     w = xtrace([1.0, -1.0])
     v = eval_fast(cmp(">", 0), w)
     assert v.satisfied is True
-    assert v.at(0) is True and v.at(1) is False
-    with pytest.raises(SampleTimeError):
-        v.at(5)
+    assert v.at(0) is True and v.at(1) is False and v.at(1.0) is False
+    for t in (-1, 2, 5, 0.5):
+        with pytest.raises(SampleTimeError):
+            v.at(t)
 
 
 def test_mixed_grids_evaluate_on_the_intersection():
@@ -140,13 +138,6 @@ def test_mixed_grids_evaluate_on_the_intersection():
     assert list(evaluation_grid(f, w)) == [0, 1, 2]
     assert per_time(f, w) == [True, True, True]
     assert list(evaluation_grid(cmp(">", 0, "x"), w)) == [0, 1, 2, 3]
-
-
-def test_strided_grid_until_uses_sample_times():
-    # days 0,2,4: a [0,2] window from day 0 holds days 0 and 2
-    w = xtrace([1.0, 1.0, 5.0], times=[0, 2, 4])
-    f = Eventually(Interval(0, 2), cmp(">", 3))
-    assert per_time(f, w) == [False, True, True]
 
 
 def test_unknown_channel_raises():
@@ -173,9 +164,11 @@ def test_eval_expr_arithmetic():
 
 
 def test_naive_rejects_off_grid_time():
-    w = xtrace([1.0, 1.0], times=[0, 2])
-    with pytest.raises(SampleTimeError):
-        eval_naive(cmp(">", 0), w, 1)
+    w = xtrace([1.0, 1.0])
+    assert eval_naive(cmp(">", 0), w, 1) and eval_naive(cmp(">", 0), w, 1.0)
+    for t in (-1, 2, 0.5):
+        with pytest.raises(SampleTimeError):
+            eval_naive(cmp(">", 0), w, t)
 
 
 def test_fast_matches_naive_on_random_formulas():

@@ -8,9 +8,12 @@ def test_trace_basic_accessors():
     t = Trace("x", [0, 1, 2], [5.0, 4.0, 3.0])
     assert len(t) == 3
     assert t.channel == "x"
-    assert t.has_time(1)
-    assert not t.has_time(3)
+    assert t.has_time(1) and t.has_time(1.0)
+    assert not any(t.has_time(d) for d in (-1, 3, 0.5))
     assert t.value_at(2) == 3.0
+    for d in (-1, 3, 0.5):
+        with pytest.raises(TraceError):
+            t.value_at(d)
 
 
 def test_trace_rejects_bad_shapes():
@@ -23,12 +26,12 @@ def test_trace_rejects_bad_shapes():
 
 
 def test_trace_rejects_bad_times():
-    with pytest.raises(TraceError):
-        Trace("x", [-1, 0], [1.0, 2.0])
-    with pytest.raises(TraceError):
-        Trace("x", [0, 0], [1.0, 2.0])
-    with pytest.raises(TraceError):
-        Trace("x", [2, 1], [1.0, 2.0])
+    # Negative, repeated, decreasing, strided, offset, non-integer, too many
+    # and 2-d stamps: only the days 0..n-1 are a grid.
+    for times in ([-1, 0], [0, 0], [2, 1], [0, 2], [1, 2], [0, 0.5], [0, 1, 2], [[0, 1]]):
+        with pytest.raises(TraceError, match=r"times must be the days 0\.\.1$"):
+            Trace("x", times, [1.0, 2.0])
+    assert list(Trace("x", [0.0, 1.0], [1.0, 2.0]).times) == [0, 1]
 
 
 def test_trace_rejects_nonfinite_values():
@@ -59,19 +62,11 @@ def test_traceset_rejects_duplicate_channels():
 
 
 def test_common_times_intersection():
-    w = TraceSet(
-        [
-            Trace("x", [0, 1, 2, 3, 4], np.zeros(5)),
-            Trace("y", [0, 2, 4, 6], np.zeros(4)),
-        ]
-    )
-    assert list(w.common_times()) == [0, 2, 4]
+    # The days every given channel samples: the shortest channel's grid.
+    w = TraceSet([Trace("x", range(5), np.zeros(5)), Trace("y", range(4), np.zeros(4))])
+    assert list(w.common_times()) == [0, 1, 2, 3]
+    assert list(w.common_times([])) == [0, 1, 2, 3]
     assert list(w.common_times(["x"])) == [0, 1, 2, 3, 4]
-
-
-def test_common_times_empty_intersection_raises():
-    w = TraceSet(
-        [Trace("x", [0, 2], np.zeros(2)), Trace("y", [1, 3], np.zeros(2))]
-    )
+    assert list(w.common_times(iter(["y", "x"]))) == [0, 1, 2, 3]
     with pytest.raises(TraceError):
-        w.common_times()
+        w.common_times(["z"])
