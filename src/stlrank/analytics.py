@@ -22,16 +22,13 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core.formula import (
-    Abs,
-    Add,
     Atom,
-    Const,
     Eventually,
     FalseFormula,
     Formula,
@@ -39,16 +36,14 @@ from .core.formula import (
     Globally,
     Implies,
     And,
-    Mul,
-    Neg,
     Not,
     Or,
     Predicate,
-    Sub,
     TrueFormula,
     Until,
     Var,
     channels_of,
+    children,
     operator_count,
 )
 from .core.semantics import eval_predicate, eval_rows
@@ -367,32 +362,21 @@ def _gatoms(node: object) -> int:
 
 
 def _rename_expr(e, day: int):
+    """Term `e` with each channel `c` read as `c[day]`."""
     if isinstance(e, Var):
         return Var(f"{e.name}[{day}]")
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return Neg(_rename_expr(e.operand, day))
-    if isinstance(e, Abs):
-        return Abs(_rename_expr(e.operand, day))
-    if isinstance(e, Add):
-        return Add(_rename_expr(e.left, day), _rename_expr(e.right, day))
-    if isinstance(e, Sub):
-        return Sub(_rename_expr(e.left, day), _rename_expr(e.right, day))
-    return Mul(_rename_expr(e.left, day), _rename_expr(e.right, day))
+    # A constant has no children, and every other term node's fields are
+    # exactly its children, in order.
+    kids = children(e)
+    return type(e)(*[_rename_expr(c, day) for c in kids]) if kids else e
 
 
 def _gtext(node: object) -> str:
     if isinstance(node, bool):
         return "true" if node else "false"
     if isinstance(node, GAtom):
-        pred = node.predicate
-        shifted = Predicate(
-            _rename_expr(pred.lhs, node.day),
-            pred.op,
-            _rename_expr(pred.rhs, node.day),
-            eq_tolerance=pred.eq_tolerance,
-        )
+        pred, day = node.predicate, node.day
+        shifted = replace(pred, lhs=_rename_expr(pred.lhs, day), rhs=_rename_expr(pred.rhs, day))
         return print_formula(Atom(shifted))
     if isinstance(node, GNot):
         return f"!({_gtext(node.child)})"

@@ -31,6 +31,7 @@ from .analytics import (
 )
 from .core.semantics import EvaluationError, eval_rows
 from .ingest import (
+    DAYS_DEFAULT,
     DatasetError,
     filter_complete,
     generate,
@@ -54,8 +55,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--days",
         type=int,
-        default=14,
-        help="length of the position day grid (default 14)",
+        default=DAYS_DEFAULT,
+        help=f"length of the position day grid (default {DAYS_DEFAULT})",
     )
     p.add_argument(
         "--complete-only",

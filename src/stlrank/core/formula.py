@@ -3,13 +3,17 @@
 Nodes are frozen dataclasses, so formulas compare and hash structurally and
 are safe to share across threads and processes. `desugar` rewrites a formula
 into the minimal core connectives; the evaluators accept both forms.
+
+`children` is the one child rule, walked by `channels_of`, `operator_count`,
+the parser's depth bound and the channel renaming of expansion. A new node
+type adds one entry there plus one case in each evaluator and printer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 
 class FormulaError(ValueError):
@@ -111,7 +115,7 @@ class Abs:
 
 Expr = Union[Const, Var, Neg, Add, Sub, Mul, Abs]
 
-_EXPR_TYPES = (Const, Var, Neg, Add, Sub, Mul, Abs)
+_EXPR_TYPES = get_args(Expr)
 
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -224,42 +228,38 @@ TRUE = TrueFormula()
 FALSE = FalseFormula()
 
 
-def channels_of_expr(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, (Neg, Abs)):
-        return channels_of_expr(e.operand)
-    return channels_of_expr(e.left) | channels_of_expr(e.right)
+def children(node) -> tuple:
+    """Direct subformulas and terms of a node, in field order (an `Atom`
+    has the two sides of its comparison): the one child rule."""
+    if isinstance(node, (TrueFormula, FalseFormula, Const, Var)):
+        return ()
+    if isinstance(node, Atom):
+        return (node.predicate.lhs, node.predicate.rhs)
+    if isinstance(node, (Not, Neg, Abs, Eventually, Globally)):
+        return (node.operand,)
+    if isinstance(node, (And, Or, Implies, Until, Add, Sub, Mul)):
+        return (node.left, node.right)
+    raise FormulaError(f"not a formula or term: {node!r}")
+
+
+def _walk(node):
+    """`node` and every node below it, parents first, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children(node))
 
 
 def channels_of(f: Formula) -> frozenset[str]:
-    """All channel names a formula mentions."""
-    if isinstance(f, Atom):
-        return channels_of_expr(f.predicate.lhs) | channels_of_expr(f.predicate.rhs)
-    if isinstance(f, (TrueFormula, FalseFormula)):
-        return frozenset()
-    if isinstance(f, Not):
-        return channels_of(f.operand)
-    if isinstance(f, (Eventually, Globally)):
-        return channels_of(f.operand)
-    if isinstance(f, (And, Or, Implies, Until)):
-        return channels_of(f.left) | channels_of(f.right)
-    raise FormulaError(f"not a formula: {f!r}")
+    """All channel names a formula or term mentions."""
+    return frozenset(node.name for node in _walk(f) if isinstance(node, Var))
 
 
 def operator_count(f: Formula) -> int:
     """Number of boolean connectives and temporal operators; atoms are free."""
-    if isinstance(f, (TrueFormula, FalseFormula, Atom)):
-        return 0
-    if isinstance(f, Not):
-        return 1 + operator_count(f.operand)
-    if isinstance(f, (Eventually, Globally)):
-        return 1 + operator_count(f.operand)
-    if isinstance(f, (And, Or, Implies, Until)):
-        return 1 + operator_count(f.left) + operator_count(f.right)
-    raise FormulaError(f"not a formula: {f!r}")
+    ops = (Not, And, Or, Implies, Until, Eventually, Globally)
+    return sum(isinstance(node, ops) for node in _walk(f))
 
 
 def desugar(f: Formula) -> Formula:

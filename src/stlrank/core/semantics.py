@@ -107,6 +107,8 @@ def _grid_length(f: Formula, lengths: dict[str, int]) -> int:
     """n of the days 0..n-1 `f` is evaluated on (see the module docstring);
     `lengths` gives each channel's length."""
     names = channels_of(f) or lengths
+    if not names:
+        raise EvaluationError("no channels to evaluate on")
     for name in sorted(names):
         if name not in lengths:
             raise UnknownChannelError(f"formula mentions unknown channel {name!r}")

@@ -35,7 +35,8 @@ applies its `eq_tolerance` argument to every `==`/`!=` atom it builds.
 Nesting is bounded by MAX_DEPTH, so every formula that parses can also be
 evaluated and printed within Python's default recursion limit. The parser
 recurses only into brackets and reads runs of prefix operators and `->`
-chains in loops; the depth of the tree is checked once it is built.
+chains in loops; the depth of the tree is checked once it is built, over
+the child rule of `core.formula.children`, which defines the tree's shape.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .core.formula import (
     Const,
     Eventually,
     FALSE,
+    FULL,
     FalseFormula,
     Formula,
     Globally,
@@ -68,6 +70,7 @@ from .core.formula import (
     TrueFormula,
     Until,
     Var,
+    children,
 )
 
 __all__ = ["MAX_DEPTH", "ParseError", "SourceSpan", "parse_formula", "print_formula"]
@@ -351,7 +354,7 @@ class _Parser:
 
     def interval_opt(self) -> Interval:
         if not self.at_op("["):
-            return Interval(0.0, math.inf)
+            return FULL
         open_tok = self.advance()
         lo_tok = self.peek()
         if lo_tok.kind != "num":
@@ -377,16 +380,6 @@ class _Parser:
         return Interval(lo, hi)
 
 
-def _children(node) -> tuple:
-    if isinstance(node, Atom):
-        return (node.predicate.lhs, node.predicate.rhs)
-    if isinstance(node, (Not, Neg, Abs, Eventually, Globally)):
-        return (node.operand,)
-    if isinstance(node, (And, Or, Implies, Until, Add, Sub, Mul)):
-        return (node.left, node.right)
-    return ()
-
-
 def _height(f: Formula) -> int:
     """Nodes on the longest root-to-leaf path, counted without recursion."""
     best = 0
@@ -394,7 +387,7 @@ def _height(f: Formula) -> int:
     while stack:
         node, h = stack.pop()
         best = max(best, h)
-        stack.extend((c, h + 1) for c in _children(node))
+        stack.extend((c, h + 1) for c in children(node))
     return best
 
 

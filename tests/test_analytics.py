@@ -89,6 +89,12 @@ def test_expansion_bounded_invariant_atoms():
     assert report.atom_count == 3
     assert report.operator_count == 0
     assert report.text == "(x[0] <= 0) & (x[1] <= 0) & (x[2] <= 0)"
+    # Every term node keeps its shape when its channels are renamed per day.
+    terms = expand_propositional(parse_formula("F[0,1](abs(x - 3) * -d1(x) + 1 > -(2 * x))"), 2)
+    assert terms.text == (
+        "(abs(x[0] - 3) * -d1(x)[0] + 1 > -(2 * x[0]))"
+        " | (abs(x[1] - 3) * -d1(x)[1] + 1 > -(2 * x[1]))"
+    )
 
 
 def test_expansion_pads_windows_past_the_horizon():

@@ -5,6 +5,7 @@ from stlrank import (
     And,
     Atom,
     Const,
+    EvaluationError,
     Eventually,
     FALSE,
     Globally,
@@ -24,6 +25,7 @@ from stlrank import (
     eval_expr,
     eval_fast,
     eval_naive,
+    eval_rows,
     evaluation_grid,
 )
 from gen_support import random_formula, random_traceset
@@ -146,6 +148,11 @@ def test_unknown_channel_raises():
         eval_fast(cmp(">", 0, "y"), w)
     with pytest.raises(UnknownChannelError):
         eval_expr(Var("y"), w, 0)
+
+
+def test_no_channels_to_evaluate_on_raises():
+    with pytest.raises(EvaluationError, match="no channels to evaluate on"):
+        eval_rows(TRUE, {})
 
 
 def test_eval_expr_arithmetic():
