@@ -361,29 +361,40 @@ def _gatoms(node: object) -> int:
     return 1 if isinstance(node, GAtom) else 0
 
 
-def _rename_expr(e, day: int):
-    """Term `e` with each channel `c` read as `c[day]`."""
+# Stands for the day in an atom's text. The grounded channels are x and d1(x)
+# (`_formula_horizon`), so no other part of the text holds it.
+_DAY = "\0"
+
+
+def _rename_expr(e):
+    """Term `e` with each channel `c` read as `c[_DAY]`."""
     if isinstance(e, Var):
-        return Var(f"{e.name}[{day}]")
+        return Var(f"{e.name}[{_DAY}]")
     # A constant has no children, and every other term node's fields are
     # exactly its children, in order.
     kids = children(e)
-    return type(e)(*[_rename_expr(c, day) for c in kids]) if kids else e
+    return type(e)(*map(_rename_expr, kids)) if kids else e
 
 
-def _gtext(node: object) -> str:
+def _gtext(node: object, templates: dict[int, str]) -> str:
+    """The text of a grounded formula. `templates` maps each predicate, by
+    identity (the atoms grounded from one `Atom` share its predicate), to its
+    text with `_DAY` for the day, so each predicate is printed once."""
     if isinstance(node, bool):
         return "true" if node else "false"
     if isinstance(node, GAtom):
-        pred, day = node.predicate, node.day
-        shifted = replace(pred, lhs=_rename_expr(pred.lhs, day), rhs=_rename_expr(pred.rhs, day))
-        return print_formula(Atom(shifted))
+        pred = node.predicate
+        template = templates.get(id(pred))
+        if template is None:
+            shifted = replace(pred, lhs=_rename_expr(pred.lhs), rhs=_rename_expr(pred.rhs))
+            template = templates[id(pred)] = print_formula(Atom(shifted))
+        return template.replace(_DAY, str(node.day))
     if isinstance(node, GNot):
-        return f"!({_gtext(node.child)})"
+        return f"!({_gtext(node.child, templates)})"
     if isinstance(node, GAnd):
-        return " & ".join(f"({_gtext(c)})" for c in node.children)
+        return " & ".join(f"({_gtext(c, templates)})" for c in node.children)
     if isinstance(node, GOr):
-        return " | ".join(f"({_gtext(c)})" for c in node.children)
+        return " | ".join(f"({_gtext(c, templates)})" for c in node.children)
     raise ExpansionError(f"cannot render {type(node).__name__}")
 
 
@@ -412,7 +423,7 @@ def expand_propositional(f: Formula, horizon: int) -> ExpansionReport:
         source=print_formula(f),
         horizon=horizon,
         root=root,
-        text=_gtext(root),
+        text=_gtext(root, {}),
         operator_count=ops,
         stl_operator_count=operator_count(f),
         atom_count=_gatoms(root),

@@ -144,8 +144,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     ds = _load(args)
     verdicts = verdict_matrix(ds, [formula], until_strict=args.strict_until)[:, 0]
     if args.each:
-        for pid, ok in zip(ds.ids, verdicts):
-            print(f"{pid}\t{'satisfied' if ok else 'violated'}")
+        sys.stdout.writelines(f"{pid}\t{'satisfied' if ok else 'violated'}\n"
+                              for pid, ok in zip(ds.ids, verdicts.tolist()))
     satisfied = int(verdicts.sum())
     total = len(ds)
     rate = satisfied / total if total else float("nan")

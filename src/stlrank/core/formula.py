@@ -161,6 +161,10 @@ class FalseFormula:
 class Atom:
     predicate: Predicate
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.predicate, Predicate):
+            raise FormulaError(f"atom needs a predicate, got {self.predicate!r}")
+
 
 @dataclass(frozen=True)
 class Not:

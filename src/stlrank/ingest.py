@@ -21,11 +21,14 @@ and appends the row to the `Dataset` columns: ids, category codes, a
 Writers emit one canonical form, so load followed by write reproduces the
 file byte for byte.
 
-A CSV file goes first to a bulk path (`_bulk_csv`): one `np.loadtxt` pass
-over the numeric cells, the value rules checked over whole columns. It never
+A file goes first to its format's bulk path. `_bulk_csv` and `_bulk_jsonl`
+only split each line into the id, the category and the numeric cells (for
+JSONL, by a regex that matches only the line `write_jsonl` writes); one
+shared helper, `_bulk_columns`, parses all the cells in one `np.loadtxt`
+pass and checks the value rules over whole columns. A bulk path never
 raises; a file it cannot take as it stands (a quote, a carriage return, a
-blank line, an odd cell, a rule broken) goes to the row path, which gives
-the result or the error text.
+blank line, an odd cell, a JSONL line in any other form, a rule broken)
+goes to the row path, which gives the result or the error text.
 
 `position_channels` turns a record's positions, or a dataset's (records,
 days) matrix, into the evaluable signals: channel "x" with the positions
@@ -59,10 +62,11 @@ import csv
 import json
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -322,44 +326,26 @@ def _read_rows(
             np.frombuffer(counters, dtype=np.int64).reshape(len(ids), len(COUNTERS)))
 
 
-# The characters a numeric cell may hold on the bulk CSV path. numpy's
-# integer parser reads "5\x1c" as 5 and "5Ǿ5" as 5125, where int() fails.
-_NUMERIC_BYTES = b"0123456789.+-eE,\n"
-
-
-def _bulk_csv(fh, days: int) -> tuple | None:
-    """The `Dataset` columns of the CSV file `fh`: the numeric cells parsed
-    by one `np.loadtxt` pass, the value rules of `_check_record` checked as
-    column predicates. None, for the row path to decide, when the header is
-    not `_header(days)` and a newline or no row follows it; a line holds a
-    quote, a carriage return or no text after its second comma, or is longer
-    than `csv.field_size_limit()`; a numeric cell holds a character outside
-    0-9 . + - e E or `loadtxt` rejects one; a rule fails; or an id repeats."""
+def _bulk_columns(numeric_cells: Iterator[str], ids: list[str],
+                  category_index: dict[str, int], codes: array, days: int) -> tuple | None:
+    """The `Dataset` columns of a file on the bulk path of either format.
+    `numeric_cells` yields each line's numeric cells (the positions, then
+    the counters, joined by commas); as it goes, it appends the line's id to
+    `ids` and its category's code, in first-seen order in `category_index`,
+    to `codes`, and it raises ValueError at a line its format's bulk path
+    declines. One `np.loadtxt` pass parses the cells and the value rules of
+    `_check_record` are checked as column predicates. None, for the row
+    path to decide, when `days` < 1, there is no line, a ValueError comes
+    from `numeric_cells`, `loadtxt` or the file's decoding, a rule fails, or
+    an id repeats."""
     if days < 1:
         return None
-    ids, category_index, codes = [], {}, array("q")
-    field_limit = csv.field_size_limit()
-
-    def numeric_cells(lines):
-        for line in lines:
-            product_id, category, tail = line.split(",", 2)
-            # loadtxt would skip an empty tail. The charset check also finds a
-            # carriage return, since it ends a line.
-            if (tail in ("", "\n") or '"' in line or len(line) > field_limit
-                    or tail.encode().translate(None, _NUMERIC_BYTES)):
-                raise ValueError
-            ids.append(product_id)
-            codes.append(category_index.setdefault(category, len(category_index)))
-            yield tail
-
     dtype = [("positions", np.float64, (days,)), ("counters", np.int64, (len(COUNTERS),))]
-    try:  # a ValueError, UnicodeDecodeError included, leaves the file to the row path
-        if fh.readline() != ",".join(_header(days)) + "\n":
+    try:
+        first = next(numeric_cells, None)
+        if first is None:  # loadtxt would warn that it found no data
             return None
-        first = fh.readline()
-        if not first:  # loadtxt would warn that it found no data
-            return None
-        table = np.loadtxt(numeric_cells(chain([first], fh)), dtype=dtype, delimiter=",",
+        table = np.loadtxt(chain([first], numeric_cells), dtype=dtype, delimiter=",",
                            comments=None, ndmin=1)
     except ValueError:
         return None
@@ -368,8 +354,41 @@ def _bulk_csv(fh, days: int) -> tuple | None:
             and np.all(counters >= 0) and all(ids) and "" not in category_index
             and len(set(ids)) == len(ids)):
         return None
-    return (ids, list(category_index), np.frombuffer(codes, dtype=np.int64), positions,
-            counters)
+    return ids, list(category_index), np.frombuffer(codes, dtype=np.int64), positions, counters
+
+
+# The characters a numeric cell may hold on the bulk CSV path. numpy's
+# integer parser reads "5\x1c" as 5 and "5Ǿ5" as 5125, where int() fails.
+_NUMERIC_BYTES = b"0123456789.+-eE,\n"
+
+
+def _bulk_csv(fh, days: int) -> tuple | None:
+    """The `Dataset` columns of the CSV file `fh` by `_bulk_columns`. None,
+    for the row path to decide, when the header is not `_header(days)` and a
+    newline, or a line holds a quote, a carriage return or no text after its
+    second comma, is longer than `csv.field_size_limit()`, or has a numeric
+    cell with a character outside 0-9 . + - e E; or `_bulk_columns` declines."""
+    ids, category_index, codes = [], {}, array("q")
+    field_limit = csv.field_size_limit()
+
+    def numeric_cells():
+        for line in fh:
+            product_id, category, tail = line.split(",", 2)
+            # loadtxt would skip an empty tail. The charset check also finds
+            # a carriage return, since it ends a line.
+            if (tail in ("", "\n") or '"' in line or len(line) > field_limit
+                    or tail.encode().translate(None, _NUMERIC_BYTES)):
+                raise ValueError
+            ids.append(product_id)
+            codes.append(category_index.setdefault(category, len(category_index)))
+            yield tail
+
+    try:  # a UnicodeDecodeError leaves the file to the row path
+        if fh.readline() != ",".join(_header(days)) + "\n":
+            return None
+    except ValueError:
+        return None
+    return _bulk_columns(numeric_cells(), ids, category_index, codes, days)
 
 
 def _csv_rows(fh, days: int) -> tuple:
@@ -404,19 +423,47 @@ def _csv_rows(fh, days: int) -> tuple:
     return _read_rows(((row_no, cells) for row_no, cells in rows if cells), decode, days)
 
 
-def _load_csv(path: str, days: int) -> Dataset:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        columns = _bulk_csv(fh, days)
-        if columns is None:
-            fh.seek(0)
-            columns = _csv_rows(fh, days)
-    return Dataset._from_columns(columns)
-
-
 _JSONL_KEYS = ("product_id", "category", "positions", "impressions", "clicks", "purchases")
 
+# The parts of the line `write_jsonl` writes, in JSON's grammar: a string
+# with no escape and no control character, a number, a counter. [0-9], since
+# \d also matches other scripts' digits. No quantifier here can give back
+# what it took and still match, so all are possessive (*+, ++, ?+), which
+# saves the regex engine its backtracking records.
+_JSON_STRING = r'"([^"\\\x00-\x1f]*+)"'
+_JSON_NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
+_JSON_COUNTER = r"(0|[1-9][0-9]*+)"
 
-def _load_jsonl(path: str, days: int) -> Dataset:
+
+def _bulk_jsonl(fh, days: int) -> tuple | None:
+    """The `Dataset` columns of the JSONL file `fh` by `_bulk_columns`. None,
+    for the row path to decide, when a line is not the one `write_jsonl`
+    writes for `days` positions: the keys of `_JSONL_KEYS` in that order, no
+    whitespace, strings with no quote, backslash or U+0000-U+001F, numbers
+    in JSON's grammar, counters of digits only, then "\\n" or the end of
+    the file; or `_bulk_columns` declines."""
+    positions = rf"\[({','.join([_JSON_NUMBER] * days)})\]"
+    parts = (_JSON_STRING, _JSON_STRING, positions, *[_JSON_COUNTER] * 3)
+    fields = ",".join(f'"{key}":{part}' for key, part in zip(_JSONL_KEYS, parts))
+    match = re.compile(rf"\{{{fields}\}}\n?").fullmatch
+
+    ids, category_index, codes = [], {}, array("q")
+
+    def numeric_cells():
+        for line in fh:
+            m = match(line)
+            if m is None:
+                raise ValueError
+            product_id, category, *numbers = m.groups()
+            ids.append(product_id)
+            codes.append(category_index.setdefault(category, len(category_index)))
+            yield ",".join(numbers)
+
+    return _bulk_columns(numeric_cells(), ids, category_index, codes, days)
+
+
+def _jsonl_rows(fh, days: int) -> tuple:
+    """The `Dataset` columns of the JSONL file `fh`, read and checked row by row."""
     pos_columns = _header(days)[2:2 + days]
 
     def decode(line: str) -> tuple:
@@ -438,11 +485,10 @@ def _load_jsonl(path: str, days: int) -> Dataset:
                 _numbers(convert, positions, pos_columns, "a number"),
                 obj["impressions"], obj["clicks"], obj["purchases"])
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return Dataset._from_columns(_read_rows(
-            ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()),
-            decode, days,
-        ))
+    return _read_rows(
+        ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()),
+        decode, days,
+    )
 
 
 def _is_jsonl(path) -> bool:
@@ -451,8 +497,19 @@ def _is_jsonl(path) -> bool:
 
 
 def load_dataset(path, *, days: int = DAYS_DEFAULT) -> Dataset:
-    """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`."""
-    return (_load_jsonl if _is_jsonl(path) else _load_csv)(os.fspath(path), days)
+    """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`: by the
+    format's bulk path, or by its row path when the bulk path declines."""
+    path = os.fspath(path)
+    if _is_jsonl(path):
+        bulk, by_row, newline = _bulk_jsonl, _jsonl_rows, None
+    else:
+        bulk, by_row, newline = _bulk_csv, _csv_rows, ""
+    with open(path, "r", newline=newline, encoding="utf-8") as fh:
+        columns = bulk(fh, days)
+        if columns is None:
+            fh.seek(0)
+            columns = by_row(fh, days)
+    return Dataset._from_columns(columns)
 
 
 def write_dataset(ds: Dataset, path: str) -> None:

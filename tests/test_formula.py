@@ -121,6 +121,12 @@ def test_walks_reject_what_is_not_a_node():
     assert channels_of(Sub(Var("x"), Abs(Var("d1(x)")))) == {"x", "d1(x)"}
 
 
+def test_atom_needs_a_predicate():
+    for junk in ("x < 0", Var("x"), None, atom()):
+        with pytest.raises(FormulaError, match="^atom needs a predicate, got "):
+            Atom(junk)
+
+
 # Recursive definitions of the two walks, as oracles.
 
 def oracle_channels_of_expr(e):

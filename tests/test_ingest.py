@@ -25,7 +25,9 @@ from stlrank import (
 )
 from stlrank.ingest import (
     _bulk_csv,
+    _bulk_jsonl,
     _csv_rows,
+    _jsonl_rows,
     labels_path_for,
     write_dataset,
     write_labels,
@@ -434,8 +436,10 @@ LAYOUTS = ["plain", "quoted", "crlf", "blank line", "header only", "no final new
 POSITION, COUNTER = 3, -2  # pos_1 and clicks, on either grid
 
 
-def columns_or_error(path, days, read):
-    with open(path, newline="", encoding="utf-8") as fh:
+def columns_or_error(path, days, read, newline=""):
+    """`read(fh, days)` on `path` opened as the loader opens a CSV file
+    (newline="") or, with newline=None, a JSONL file."""
+    with open(path, newline=newline, encoding="utf-8") as fh:
         try:
             columns = read(fh, days)
         except SchemaError as exc:
@@ -537,3 +541,142 @@ def test_bulk_csv_path_declines_what_loadtxt_would_skip_or_csv_reject(rows, tmp_
     path.write_text(TINY_HEADER + rows, encoding="utf-8")
     assert columns_or_error(path, 3, _bulk_csv) is None
     assert columns_or_error(path, 3, load_columns) == columns_or_error(path, 3, _csv_rows)
+
+
+# ---------------------------------------------------------------------------
+# The bulk JSONL path and the per-row path give the same columns, or the same
+# SchemaError text, for the same file.
+# ---------------------------------------------------------------------------
+
+# Field texts json.loads reads differently from the bulk path's loadtxt pass,
+# or that the bulk path must leave to the per-row path: numbers outside JSON's
+# grammar or float's range, counters that are not digits, escapes, control
+# and line-separator characters, whitespace, raw non-ASCII.
+JSON_TEXTS = ["+5", "05", ".5", "5.", "-0", "-0.0", "1E400", "1e-400", "NaN", "Infinity",
+              "-Infinity", str(10 ** 400), "9223372036854775807", "9223372036854775808",
+              "1.0", "true", "null", "7", "-1", "-1.0", "0.5", "1e2", "1.5E+1", "2.5e-0",
+              " 5", "5 ", "\u0661", "[]", '"5"', '""', '"p\\u0041"', '"p\u00e9"',
+              '"p\u2028"', '"p\x85"', '"p\x1c"', '"p\x7f"', '"p\r"', '"p000000"']
+JSONL_EDITS = ["position", "value", "swap", "repeat", "drop position", "extra position"]
+JSONL_LAYOUTS = ["plain", "crlf", "blank line", "bom", "no final newline", "empty"]
+PRODUCT_ID, CATEGORY, IMPRESSIONS, CLICKS, PURCHASES = 0, 1, 3, 4, 5
+
+
+def write_mutated_jsonl(path, days, row, edits, layout):
+    """FUZZ_BASE on a `days` grid with edits to the text of one line's
+    fields, written in `layout`. An edit is (op, index, text): "position"
+    and "value" put `text` in place of a position or a field's value,
+    "swap" swaps a field with the next, "repeat" repeats a field, and "drop
+    position" and "extra position" remove or repeat a position."""
+    write_jsonl(FUZZ_BASE, str(path))
+    lines = []
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+        record = json.loads(line)
+        fields = [[key, json.dumps(value)] for key, value in record.items()]
+        fields[2][1] = [json.dumps(p) for p in record["positions"][:days]]
+        for op, i, text in edits if line_no == row else ():
+            positions = fields[2][1]
+            if op == "value":
+                fields[i % len(fields)][1] = text
+            elif op == "swap":
+                i %= len(fields) - 1
+                fields[i:i + 2] = fields[i + 1], fields[i]
+            elif op == "repeat":
+                fields.insert(i % len(fields), list(fields[i % len(fields)]))
+            elif isinstance(positions, list) and positions:
+                i %= len(positions)
+                if op == "position":
+                    positions[i] = text
+                elif op == "drop position":
+                    del positions[i]
+                else:
+                    positions.insert(i, positions[i])
+        lines.append("{" + ",".join(
+            f'"{key}":' + (f"[{','.join(value)}]" if isinstance(value, list) else value)
+            for key, value in fields) + "}")
+    end = "\r\n" if layout == "crlf" else "\n"
+    if layout == "blank line":
+        lines.insert(row, "")
+    text = "".join(line + end for line in lines)
+    if layout == "bom":
+        text = "\ufeff" + text
+    elif layout == "no final newline":
+        text = text[:-1]
+    elif layout == "empty":
+        text = ""
+    path.write_bytes(text.encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(days=st.sampled_from([14, 3]), row=st.integers(0, 2),
+       edits=st.lists(st.tuples(st.sampled_from(JSONL_EDITS), st.integers(0, 30),
+                                st.sampled_from(JSON_TEXTS)), min_size=1, max_size=3),
+       layout=st.one_of(st.just("plain"), st.sampled_from(JSONL_LAYOUTS)))
+@example(days=14, row=0, edits=[("position", 1, "+5")], layout="plain")
+@example(days=14, row=1, edits=[("position", 2, "05")], layout="plain")
+@example(days=14, row=2, edits=[("position", 3, ".5")], layout="plain")
+@example(days=14, row=0, edits=[("position", 4, "5.")], layout="plain")
+@example(days=14, row=1, edits=[("position", 5, "-0")], layout="plain")
+@example(days=14, row=2, edits=[("position", 6, "1E400")], layout="plain")
+@example(days=14, row=0, edits=[("position", 7, "NaN")], layout="plain")
+@example(days=14, row=1, edits=[("position", 8, "Infinity")], layout="plain")
+@example(days=14, row=2, edits=[("position", 9, str(10 ** 400))], layout="plain")
+@example(days=14, row=0, edits=[("value", IMPRESSIONS, str(10 ** 400))], layout="plain")
+@example(days=14, row=1, edits=[("value", CLICKS, "9223372036854775808")], layout="plain")
+@example(days=14, row=1, edits=[("value", CLICKS, "9223372036854775807")], layout="plain")
+@example(days=14, row=2, edits=[("value", PURCHASES, "+5")], layout="plain")
+@example(days=14, row=2, edits=[("value", PURCHASES, "05")], layout="plain")
+@example(days=14, row=2, edits=[("value", PURCHASES, "-0")], layout="plain")
+@example(days=14, row=0, edits=[("value", IMPRESSIONS, "1.0")], layout="plain")
+@example(days=14, row=0, edits=[("value", PURCHASES, "true")], layout="plain")
+@example(days=14, row=0, edits=[("value", CLICKS, "\u0661")], layout="plain")
+@example(days=14, row=1, edits=[("value", PRODUCT_ID, '"p\\u0041"')], layout="plain")
+@example(days=14, row=1, edits=[("value", PRODUCT_ID, '"p\u00e9"')], layout="plain")
+@example(days=14, row=1, edits=[("value", CATEGORY, '"p\u2028"')], layout="plain")
+@example(days=14, row=1, edits=[("value", CATEGORY, '"p\x1c"')], layout="plain")
+@example(days=14, row=0, edits=[("value", CLICKS, " 5")], layout="plain")
+@example(days=14, row=0, edits=[("swap", CLICKS, "")], layout="plain")
+@example(days=14, row=0, edits=[("repeat", PURCHASES, "")], layout="plain")
+@example(days=14, row=2, edits=[("drop position", 0, "")], layout="plain")
+@example(days=14, row=2, edits=[("extra position", 0, "")], layout="plain")
+@example(days=14, row=1, edits=[("position", 0, "7")], layout="blank line")
+@example(days=14, row=1, edits=[("position", 0, "7")], layout="crlf")
+@example(days=14, row=0, edits=[("position", 0, "7")], layout="bom")
+@example(days=14, row=0, edits=[("position", 0, "7")], layout="no final newline")
+@example(days=14, row=2, edits=[("value", PRODUCT_ID, '"p000000"')], layout="plain")
+@example(days=14, row=0, edits=[("position", 0, "7")], layout="empty")
+@example(days=3, row=0, edits=[("position", 0, "7")], layout="plain")
+def test_bulk_and_per_row_jsonl_paths_agree(days, row, edits, layout, tmp_path):
+    path = tmp_path / "fuzz.jsonl"
+    write_mutated_jsonl(path, days, row, edits, layout)
+    per_row = columns_or_error(path, days, _jsonl_rows, newline=None)
+    assert columns_or_error(path, days, load_columns, newline=None) == per_row
+    bulk = columns_or_error(path, days, _bulk_jsonl, newline=None)
+    if bulk is not None:
+        assert bulk == per_row
+
+
+@pytest.mark.parametrize("days", [14, 3])
+def test_bulk_jsonl_path_reads_a_canonical_file(days, tmp_path):
+    path, canonical = tmp_path / "plain.jsonl", tmp_path / "canonical.jsonl"
+    write_mutated_jsonl(path, days, 0, [], "plain")
+    write_jsonl(FUZZ_BASE, str(canonical))
+    # With no edit, the line model writes what write_jsonl writes.
+    assert (path.read_bytes() == canonical.read_bytes()) == (days == 14)
+    bulk = columns_or_error(path, days, _bulk_jsonl, newline=None)
+    assert bulk is not None
+    assert bulk == columns_or_error(path, days, _jsonl_rows, newline=None)
+
+
+def test_bulk_jsonl_path_reads_a_generated_file(tmp_path):
+    """Every pattern, noise and 100 categories: a writer change that sends
+    such a file row by row fails here."""
+    ds = generate(GeneratorConfig(n_records=600, pattern_mix=SIX, category_count=100,
+                                  noise_sigma=0.5, seed=16))
+    path = tmp_path / "six.jsonl"
+    write_jsonl(ds, str(path))
+    bulk = columns_or_error(path, 14, _bulk_jsonl, newline=None)
+    assert bulk is not None
+    assert bulk == columns_or_error(path, 14, _jsonl_rows, newline=None)
+    assert_same_columns(load_dataset(str(path)), ds)
