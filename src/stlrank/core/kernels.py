@@ -1,19 +1,19 @@
 """Array kernels behind the linear-time evaluator.
 
-Each kernel answers one window query for every position of a boolean array
-in a single vectorized pass, along the last axis of one trace (n,) or of
-many traces on one grid (R, n). The grid is days 0..n-1, so position i is
-day i. Windows arrive as inclusive index bounds lo[i]..hi[i], shared by all
-rows, that are non-decreasing in i, because they come from sliding a fixed
-real interval along the days.
-Empty windows (hi < lo, or lo past the end) produce the quantifier
-identity: False for "any", True for "all".
+Each kernel answers one window query for every day of a boolean array in a
+single vectorized pass, along the last axis of one trace (n,) or of many
+traces on one grid (R, n), the days 0..n-1. A window is two day offsets
+a <= b + 1, shared by all days and rows: the window of day k holds the days
+k + a .. k + b of the grid, and one with none of them gives the quantifier
+identity, False for "any" and True for "all".
 
-The window queries read a running count off one prefix sum, the boolean
-degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046), in O(n).
-The until scan combines run lengths of the left operand with next-witness
-indices of the right one (reverse running minima), O(n). Window bounds are
-index offsets, O(n).
+A per-day array over days 0..n is padded with its end values on both sides,
+so that its entries at days k + a and at days k + b + 1 are two slices. The
+window queries read a running count off a prefix sum so padded, the
+boolean degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046).
+The until scan reads next-witness indices of its right operand (reverse
+running minima) so padded against the run ends of its left one (Donze,
+Ferrere & Maler, CAV 2013). Every kernel is O(n).
 
 The evaluator calls every kernel as an attribute of this module
 (`kernels.window_any(...)`), so a profiler can wrap them here.
@@ -39,100 +39,81 @@ def active_backend() -> str:
     return "numpy"
 
 
-# Window queries run over blocks of this many positions with reused buffers,
-# and the prefix sum is int32 where it fits: with fresh int64 temporaries of
-# a few hundred kilobytes per call, evaluating a formula over 1e5 days cost
-# 15-25x as much as over 1e4 (tests/test_acceptance.py::test_linear_scaling).
-_BLOCK = 8192
+def _padded(shape: tuple, a: int, b: int, fill: int):
+    """(p, left): a per-day array over days -left .. n + right, all `fill`,
+    that holds days k + a and k + b + 1 for every day k < n; int32 where day
+    indices fit, for half the memory traffic of int64."""
+    n, left, right = shape[-1], max(0, -a), max(0, b)
+    p = np.full(shape[:-1] + (left + n + 1 + right,), fill, np.int32 if n < 2**31 else np.int64)
+    return p, left
 
 
-def _any_in_windows(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _window_ends(p: np.ndarray, left: int, a: int, b: int, n: int):
+    """Views of `_padded`'s `p` at days k + a and k + b + 1 for days k < n."""
+    return p[..., left + a : left + a + n], p[..., left + b + 1 : left + b + 1 + n]
+
+
+def _any_in_windows(vals: np.ndarray, a: int, b: int) -> np.ndarray:
     n = vals.shape[-1]
-    rows = vals.shape[:-1]
-    csum = np.zeros(rows + (n + 1,), dtype=np.int32 if n < 2**31 else np.int64)
-    np.cumsum(vals, axis=-1, out=csum[..., 1:])
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    m = lo.shape[0]
-    out = np.empty(rows + (m,), dtype=np.bool_)
-    k = min(m, _BLOCK)
-    b = np.empty(k, dtype=np.int64)
-    ca, cb = np.empty(rows + (k,), dtype=csum.dtype), np.empty(rows + (k,), dtype=csum.dtype)
-    for s in range(0, m, _BLOCK):
-        e = min(s + _BLOCK, m)
-        w = e - s
-        np.add(hi[s:e], 1, out=b[:w])
-        # mode="clip" reads indices past either end as 0 or n, which keeps
-        # the part of a window inside the array; as csum never decreases, a
-        # window with hi < lo counts nothing.
-        np.take(csum, lo[s:e], axis=-1, out=ca[..., :w], mode="clip")
-        np.take(csum, b[:w], axis=-1, out=cb[..., :w], mode="clip")
-        np.greater(cb[..., :w], ca[..., :w], out=out[..., s:e])
-    return out
+    # csum[..., left + j] counts the True days before day j.
+    csum, left = _padded(vals.shape, a, b, 0)
+    np.cumsum(vals, axis=-1, out=csum[..., left + 1 : left + n + 1])
+    csum[..., left + n + 1 :] = csum[..., left + n, None]
+    start, stop = _window_ends(csum, left, a, b, n)
+    return stop > start
 
 
-def window_any(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """out[i] = any(vals[lo[i] .. hi[i]]); empty windows give False."""
-    return _any_in_windows(np.asarray(vals, dtype=np.bool_), lo, hi)
+def window_any(vals: np.ndarray, a: int, b: int) -> np.ndarray:
+    """out[k] = any(vals[k + a .. k + b]); empty windows give False."""
+    return _any_in_windows(np.asarray(vals, dtype=np.bool_), a, b)
 
 
-def window_all(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """out[i] = all(vals[lo[i] .. hi[i]]); empty windows give True."""
-    return ~_any_in_windows(~np.asarray(vals, dtype=np.bool_), lo, hi)
+def window_all(vals: np.ndarray, a: int, b: int) -> np.ndarray:
+    """out[k] = all(vals[k + a .. k + b]); empty windows give True."""
+    return ~_any_in_windows(~np.asarray(vals, dtype=np.bool_), a, b)
 
 
-def _next_index_at_or_after(mask: np.ndarray) -> np.ndarray:
-    """nxt[..., i] = smallest j >= i with mask[..., j], else n; the last
-    axis of nxt has n + 1 entries."""
+def _next_index_at_or_after(mask: np.ndarray, a: int = 0, b: int = 0):
+    """(nxt, left): nxt[..., left + j] = smallest i >= j with mask[..., i],
+    else n, padded as `_padded` for the window (a, b)."""
     n = mask.shape[-1]
-    nxt = np.full(mask.shape[:-1] + (n + 1,), n, dtype=np.int64)
-    np.copyto(nxt[..., :n], np.arange(n), where=mask)
-    return np.minimum.accumulate(nxt[..., ::-1], axis=-1)[..., ::-1]
+    nxt, left = _padded(mask.shape, a, b, n)
+    # Day i where mask holds, n elsewhere, and then the running minimum
+    # from the right, in place: on long grids a masked copy or a fresh
+    # result array costs several times as much as the scan itself.
+    days = nxt[..., left : left + n]
+    np.multiply(mask, np.arange(-n, 0, dtype=nxt.dtype), out=days)
+    days += n
+    from_right = nxt[..., ::-1]
+    np.minimum.accumulate(from_right, axis=-1, out=from_right)
+    return nxt, left
 
 
-def until_scan(
-    f1: np.ndarray, f2: np.ndarray, lo: np.ndarray, hi: np.ndarray, strict: bool = False
-) -> np.ndarray:
-    """out[i] = exists j in [lo[i], hi[i]] with f2[j] and f1 on i..j.
+def until_scan(f1: np.ndarray, f2: np.ndarray, a: int, b: int, strict: bool = False) -> np.ndarray:
+    """out[k] = exists j in k + a .. k + b with f2[j] and f1 on k..j.
 
-    With strict=True the f1 obligation stops just before j (f1 on i..j-1).
+    With strict=True the f1 obligation stops just before j (f1 on k..j-1).
     """
     f1 = np.asarray(f1, dtype=np.bool_)
     n = f1.shape[-1]
-    # reach[i]: last index of the f1-run starting at i (i - 1 when !f1[i]).
-    reach = _next_index_at_or_after(~f1)[..., :n] - 1
-    nxt2 = _next_index_at_or_after(np.asarray(f2, dtype=np.bool_))
-    if strict:
-        reach += 1
-    # np.maximum/np.minimum in place: np.clip costs microseconds per call on
-    # short arrays, and a fresh array on long ones.
-    b = np.maximum(np.asarray(hi, dtype=np.int64), -1)
-    np.minimum(b, n - 1, out=b)
-    np.minimum(reach, b, out=reach)
-    a = np.maximum(np.asarray(lo, dtype=np.int64), 0)
-    np.minimum(a, n, out=a)
-    return (a <= reach) & (np.take(nxt2, a, axis=-1) <= reach)
+    # fail[k]: first day from k on where f1 fails, n if none.
+    fail = _next_index_at_or_after(~f1)[0][..., :n]
+    nxt2, left = _next_index_at_or_after(np.asarray(f2, dtype=np.bool_), a, b)
+    # first[k], the first f2 day from k + a on, is in the window iff it
+    # comes before the first f2 day from k + b + 1 on; if any f2 day of the
+    # window meets the f1 obligation, first[k] does.
+    first, after = _window_ends(nxt2, left, a, b, n)
+    return (first < after) & ((first <= fail) if strict else (first < fail))
 
 
-def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float):
-    """Inclusive index bounds of the window [t + lo_shift, t + hi_shift]
-    around every day t of `times`, the grid 0..n-1; bounds past the ends
-    mark empty windows. O(n).
+def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float) -> tuple[int, int]:
+    """Day offsets (a, b) of the window [t + lo_shift, t + hi_shift] on
+    `times`, the grid 0..n-1: the window of day k is days k + a .. k + b.
+    O(1).
     """
     n = len(times)
-    # Days < k + lo_shift number k + ceil(lo_shift) and days <= k + hi_shift
-    # number k + floor(hi_shift) + 1, clipped to 0..n.
-    k = np.arange(n, dtype=np.int64)
-    lo = k + math.ceil(_clamp(float(lo_shift), n))
-    np.maximum(lo, 0, out=lo)
-    np.minimum(lo, n, out=lo)
-    hi = k + math.floor(_clamp(float(hi_shift), n))
-    np.maximum(hi, -1, out=hi)
-    np.minimum(hi, n - 1, out=hi)
-    return lo, hi
-
-
-def _clamp(shift: float, n: int) -> float:
-    """A shift past the whole grid acts like one just past it; this keeps
-    infinite shifts out of integer arithmetic."""
-    return min(max(shift, -n - 1.0), n + 1.0)
+    # A shift past the whole grid acts like one just past it, which keeps
+    # infinite shifts out of integer arithmetic. Days >= k + lo start at
+    # k + ceil(lo), and days <= k + hi end at k + floor(hi).
+    lo, hi = (min(max(float(s), -n - 1.0), n + 1.0) for s in (lo_shift, hi_shift))
+    return math.ceil(lo), math.floor(hi)

@@ -35,7 +35,7 @@ the whole evaluation O(n * |formula|). The array passes live in `kernels`.
 Both evaluators agree bit for bit at every day.
 
 `eval_rows` runs the same pass over R traces at once, each node an (R, n)
-array whose window bounds serve all rows; datasets are evaluated this way.
+array whose window offsets serve all rows; datasets are evaluated this way.
 
 Both evaluators, and the grounded evaluator of propositional expansion, read
 terms through `eval_term` and comparisons through `eval_predicate`; numpy
@@ -183,14 +183,14 @@ def _node_on_grid(
     if isinstance(f, Implies):
         return ~_node_on_grid(f.left, *args) | _node_on_grid(f.right, *args)
     if isinstance(f, (Eventually, Globally, Until)):
-        # Inclusive index bounds of t + I around every grid position.
-        lo, hi = kernels.shift_bounds(grid, f.interval.lo, f.interval.hi)
+        # Day offsets of t + I: the window of day k is days k + a .. k + b.
+        a, b = kernels.shift_bounds(grid, f.interval.lo, f.interval.hi)
         if isinstance(f, Eventually):
-            return kernels.window_any(_node_on_grid(f.operand, *args), lo, hi)
+            return kernels.window_any(_node_on_grid(f.operand, *args), a, b)
         if isinstance(f, Globally):
-            return kernels.window_all(_node_on_grid(f.operand, *args), lo, hi)
+            return kernels.window_all(_node_on_grid(f.operand, *args), a, b)
         left, right = _node_on_grid(f.left, *args), _node_on_grid(f.right, *args)
-        return kernels.until_scan(left, right, lo, hi, strict)
+        return kernels.until_scan(left, right, a, b, strict)
     raise FormulaError(f"not a formula: {f!r}")
 
 
@@ -206,11 +206,24 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
     """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
     of row r. `channels` maps each name to an (R, n_c) matrix on days
     0..n_c-1; the evaluation grid is as for `eval_fast`. Channels of one
-    trace, (n_c,) each, give a 0-d verdict."""
-    n = _grid_length(f, {name: values.shape[-1] for name, values in channels.items()})
-    shape = next(iter(channels.values())).shape[:-1] + (n,)
+    trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric
+    or has no day, or channels whose leading shapes differ, raise
+    EvaluationError."""
+    arrays = {}
+    for name, values in channels.items():
+        try:
+            arrays[name] = values = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise EvaluationError(f"channel {name!r}: {exc}") from None
+        if values.ndim == 0 or values.shape[-1] == 0:
+            raise EvaluationError(f"channel {name!r} has no days")
+    shapes = {values.shape[:-1] for values in arrays.values()}
+    if len(shapes) > 1:
+        raise EvaluationError(f"channels differ in their leading shapes: {sorted(shapes)}")
+    n = _grid_length(f, {name: values.shape[-1] for name, values in arrays.items()})
+    shape = shapes.pop() + (n,)
     grid = np.arange(n, dtype=np.int64)
-    per_time = _node_on_grid(f, lambda name: channels[name][..., :n], grid, shape, until_strict)
+    per_time = _node_on_grid(f, lambda name: arrays[name][..., :n], grid, shape, until_strict)
     return per_time[..., 0]
 
 

@@ -222,7 +222,13 @@ def test_kmeans_smoothing():
 
 
 def test_linear_scaling():
-    spec = build("flat_start")
+    # A bounded G, an unbounded F (whose window runs past the end of the
+    # grid) and a bounded U.
+    formulas = {
+        "G[0,3]": build("flat_start").formula,
+        "F": parse_formula("F(d1(x) < -1)"),
+        "U[0,6]": parse_formula("(x > 45) U[0,6] (d1(x) < -1)"),
+    }
     rng = np.random.default_rng(7)
 
     def traceset(n):
@@ -233,22 +239,25 @@ def test_linear_scaling():
 
     warm_kernels()
 
-    def median_run(n):
-        w = traceset(n)
-        eval_fast(spec.formula, w)
+    def median_run(f, w):
+        eval_fast(f, w)
         runs = []
         for _ in range(5):
             t0 = time.perf_counter()
             for _ in range(10):
-                eval_fast(spec.formula, w)
+                eval_fast(f, w)
             runs.append(time.perf_counter() - t0)
         return statistics.median(runs)
 
-    small = median_run(10_000)
-    large = median_run(100_000)
-    print(f"  scaling: 1e4 {small * 1e3:.2f}ms  1e5 {large * 1e3:.2f}ms  "
-          f"ratio {large / small:.1f}")
-    report("linear-scaling", large <= 15.0 * small)
+    small_w, large_w = traceset(10_000), traceset(100_000)
+    ok = True
+    for name, f in formulas.items():
+        small = median_run(f, small_w)
+        large = median_run(f, large_w)
+        print(f"  scaling {name}: 1e4 {small * 1e3:.2f}ms  1e5 {large * 1e3:.2f}ms  "
+              f"ratio {large / small:.1f}")
+        ok = ok and large <= 15.0 * small
+    report("linear-scaling", ok)
 
 
 def test_round_trips(tmp_path):

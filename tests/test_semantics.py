@@ -155,6 +155,29 @@ def test_no_channels_to_evaluate_on_raises():
         eval_rows(TRUE, {})
 
 
+@pytest.mark.parametrize(
+    "channels, message",
+    [
+        ({"x": np.zeros((3, 5)), "y": np.zeros((4, 5))}, "leading shapes"),
+        ({"x": np.zeros(5), "y": np.zeros((1, 5))}, "leading shapes"),
+        ({"x": np.array(1.0), "y": np.zeros(3)}, "has no days"),
+        ({"x": np.zeros((3, 0)), "y": np.zeros((3, 2))}, "has no days"),
+        ({"x": [[1.0, 2.0], [3.0]], "y": np.zeros((2, 2))}, "channel 'x'"),
+        ({"x": ["a", "b"], "y": np.zeros(2)}, "channel 'x'"),
+    ],
+)
+def test_malformed_row_channels_raise_evaluation_error(channels, message):
+    f = Eventually(Interval(0, 2), And(cmp(">", 0, "x"), cmp("<", 1, "y")))
+    with pytest.raises(EvaluationError, match=message):
+        eval_rows(f, channels)
+
+
+def test_row_channels_may_be_nested_lists():
+    f = Eventually(Interval(0, 1), cmp(">", 2, "x"))
+    got = eval_rows(f, {"x": [[1.0, 3.0], [1.0, 2.0]]})
+    assert got.tolist() == [True, False]
+
+
 def test_eval_expr_arithmetic():
     w = TraceSet(
         [Trace("x", [0, 1], [3.0, 4.0]), Trace("y", [0, 1], [10.0, 20.0])]
