@@ -143,7 +143,8 @@ class RateTable:
         raise KeyError((category, property_name))
 
     def overall(self, property_name: str) -> float:
-        return self.rate(OVERALL, property_name)
+        """The rollup's rate: its rows follow any category named OVERALL."""
+        return RateTable(reversed(self.rows)).rate(OVERALL, property_name)
 
     def to_csv_text(self) -> str:
         return _csv_text(self.HEADERS, _cells(self.rows, self.HEADERS, 6))
@@ -576,18 +577,18 @@ def cluster_kmeans(
 
 def rates_plot_data(table: RateTable) -> str:
     """Gnuplot-ready satisfaction rates: one row per category, one column
-    per property, in first-seen order."""
-    rates: dict[tuple[str, str], float] = {}
+    per property, in first-seen order; a category named OVERALL and the
+    rollup get a line each (the n-th row of a pair goes to line n)."""
+    lines_by_key: dict[tuple[str, int], dict[str, float]] = {}
     for row in table.rows:
-        rates.setdefault((row.category, row.property), row.rate)
-    properties = list(dict.fromkeys(prop for _, prop in rates))
-    categories = list(dict.fromkeys(cat for cat, _ in rates))
+        n = 0
+        while row.property in lines_by_key.setdefault((row.category, n), {}):
+            n += 1
+        lines_by_key[row.category, n][row.property] = row.rate
+    properties = list(dict.fromkeys(row.property for row in table.rows))
     lines = ["# category " + " ".join(properties)]
-    for cat in categories:
-        vals = []
-        for prop in properties:
-            r = rates[(cat, prop)]
-            vals.append("NA" if math.isnan(r) else f"{r:.6f}")
+    for (cat, _), rates in lines_by_key.items():
+        vals = ["NA" if math.isnan(r := rates[prop]) else f"{r:.6f}" for prop in properties]
         lines.append(" ".join([_plot_field(cat)] + vals))
     return "\n".join(lines) + "\n"
 

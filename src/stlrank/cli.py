@@ -31,7 +31,6 @@ from .analytics import (
 )
 from .core.semantics import EvaluationError, eval_rows
 from .ingest import (
-    DAYS_DEFAULT,
     DatasetError,
     filter_complete,
     generate,
@@ -52,12 +51,6 @@ _PARAM_FIELDS = tuple(PropertyParams.__dataclass_fields__)
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", "-i", required=True, help="dataset file (csv or jsonl)")
-    p.add_argument(
-        "--days",
-        type=int,
-        default=DAYS_DEFAULT,
-        help=f"length of the position day grid (default {DAYS_DEFAULT})",
-    )
     p.add_argument(
         "--complete-only",
         action="store_true",
@@ -125,7 +118,7 @@ def _resolve_formula(args: argparse.Namespace):
 
 
 def _load(args: argparse.Namespace):
-    ds = load_dataset(args.input, days=args.days)
+    ds = load_dataset(args.input)
     if getattr(args, "complete_only", False):
         ds = filter_complete(ds)
     return ds
@@ -216,6 +209,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             raise ValueError("--query requires --property ditch or --property spike")
         overrides = _collect_overrides(args)
         spec = build(args.property, **overrides)
+        if spec.params.w != int(spec.params.w):
+            raise ValueError(f"--query requires a whole-day window w, got {spec.params.w}")
         text = expand_query(
             args.property,
             horizon=args.horizon,

@@ -206,9 +206,9 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
     """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
     of row r. `channels` maps each name to an (R, n_c) matrix on days
     0..n_c-1; the evaluation grid is as for `eval_fast`. Channels of one
-    trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric
-    or has no day, or channels whose leading shapes differ, raise
-    EvaluationError."""
+    trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric,
+    has no day or a value that is not finite (as `Trace` requires), or
+    channels whose leading shapes differ, raise EvaluationError."""
     arrays = {}
     for name, values in channels.items():
         try:
@@ -217,6 +217,8 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
             raise EvaluationError(f"channel {name!r}: {exc}") from None
         if values.ndim == 0 or values.shape[-1] == 0:
             raise EvaluationError(f"channel {name!r} has no days")
+        if not np.isfinite(values).all():
+            raise EvaluationError(f"channel {name!r}: values must be finite")
     shapes = {values.shape[:-1] for values in arrays.values()}
     if len(shapes) > 1:
         raise EvaluationError(f"channels differ in their leading shapes: {sorted(shapes)}")

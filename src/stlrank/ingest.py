@@ -1,34 +1,35 @@
 """Product ranking datasets: records, file IO, traces, and a generator.
 
-A record is one product's daily ranking positions over a fixed day grid
-(14 days by default, days 0..13) plus three engagement counters. Positions
+A record is one product's daily ranking positions over a fixed grid of D
+days, 0..D-1 (14 from `generate`), plus three engagement counters. Positions
 are reals >= 1, with -1 marking a day the product went unranked ("missing").
 The impressions column is what some pipelines call searches.
 
-CSV layout (header required, exactly these columns for the default grid):
+CSV layout (header required; its pos_ columns give D >= 1):
 
-    product_id,category,pos_0,...,pos_13,impressions,clicks,purchases
+    product_id,category,pos_0,...,pos_{D-1},impressions,clicks,purchases
 
-JSONL carries the same fields with the positions as an array. The file
-extension picks the format, for reading and for writing: `.jsonl`, `.ndjson`
-and `.json` mean JSONL, any other extension means CSV. The readers
-only decode (CSV text to numbers; a JSONL object, its keys, and positions
-as a list of JSON numbers). One row path, shared with `generate` and
-`Dataset(records)`, checks every value, names the row in any SchemaError
-and appends the row to the `Dataset` columns: ids, category codes, a
-(records, days) position matrix and a (records, 3) counter matrix.
-`Dataset.records` rebuilds `ProductRecord` objects from them on access.
-Writers emit one canonical form, so load followed by write reproduces the
-file byte for byte.
+JSONL carries the same fields with the positions as an array; the first
+record gives D (14 with no record, as in `Dataset()`). The file extension
+picks the format, for reading and for writing: `.jsonl`, `.ndjson` and
+`.json` mean JSONL, any other extension means CSV. The readers only decode
+(CSV text to numbers; a JSONL object, its keys, and positions as a list of
+JSON numbers). One row path, shared with `generate` and `Dataset(records)`,
+checks every value, names the row in any SchemaError and appends the row
+to the `Dataset` columns: ids, category codes, a (records, days) position
+matrix and a (records, 3) counter matrix. `Dataset.records` rebuilds
+`ProductRecord` objects from them on access. Writers emit one canonical
+form, so load followed by write reproduces the file byte for byte.
 
 A file goes first to its format's bulk path. `_bulk_csv` and `_bulk_jsonl`
 only split each line into the id, the category and the numeric cells (for
 JSONL, by a regex that matches only the line `write_jsonl` writes); one
-shared helper, `_bulk_columns`, parses all the cells in one `np.loadtxt`
-pass and checks the value rules over whole columns. A bulk path never
-raises; a file it cannot take as it stands (a quote, a carriage return, a
-blank line, an odd cell, a JSONL line in any other form, a rule broken)
-goes to the row path, which gives the result or the error text.
+shared helper, `_bulk_columns`, parses all the cells, on the first line's
+day count, in one `np.loadtxt` pass and checks the value rules over whole
+columns. A bulk path never raises; a file it cannot take as it stands (a
+quote, a carriage return, a blank line, an odd cell or cell count, another
+JSONL line form, a rule broken) goes to the row path, which gives the
+result or the error text.
 
 `position_channels` turns a record's positions, or a dataset's (records,
 days) matrix, into the evaluable signals: channel "x" with the positions
@@ -65,8 +66,8 @@ import os
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, compress, count
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -326,33 +327,41 @@ def _read_rows(
             np.frombuffer(counters, dtype=np.int64).reshape(len(ids), len(COUNTERS)))
 
 
-def _bulk_columns(numeric_cells: Iterator[str], ids: list[str],
-                  category_index: dict[str, int], codes: array, days: int) -> tuple | None:
+def _bulk_columns(lines: Iterable[str], split: Callable) -> tuple | None:
     """The `Dataset` columns of a file on the bulk path of either format.
-    `numeric_cells` yields each line's numeric cells (the positions, then
-    the counters, joined by commas); as it goes, it appends the line's id to
-    `ids` and its category's code, in first-seen order in `category_index`,
-    to `codes`, and it raises ValueError at a line its format's bulk path
-    declines. One `np.loadtxt` pass parses the cells and the value rules of
+    `split` turns each line into its id, its category and its numeric cells
+    (the positions, then the counters, joined by commas), and raises
+    ValueError at a line its format's bulk path declines. The first line's
+    cell count gives the day count; one `np.loadtxt` pass parses the cells,
+    failing at a line with another count, and the value rules of
     `_check_record` are checked as column predicates. None, for the row
-    path to decide, when `days` < 1, there is no line, a ValueError comes
-    from `numeric_cells`, `loadtxt` or the file's decoding, a rule fails, or
-    an id repeats."""
-    if days < 1:
-        return None
-    dtype = [("positions", np.float64, (days,)), ("counters", np.int64, (len(COUNTERS),))]
+    path to decide, when there is no line or the first has no position, a
+    ValueError comes from `split`, `loadtxt` or the file's decoding, a rule
+    fails, or an id repeats."""
+    ids, category_index, codes = [], {}, array("q")
+
+    def numeric_cells():
+        for line in lines:
+            product_id, category, cells = split(line)
+            ids.append(product_id)
+            codes.append(category_index.setdefault(category, len(category_index)))
+            yield cells
+
+    cells = numeric_cells()
     try:
-        first = next(numeric_cells, None)
+        first = next(cells, None)
         if first is None:  # loadtxt would warn that it found no data
             return None
-        table = np.loadtxt(chain([first], numeric_cells), dtype=dtype, delimiter=",",
+        days = first.count(",") + 1 - len(COUNTERS)  # days < 0 fails in np.dtype
+        dtype = [("positions", np.float64, (days,)), ("counters", np.int64, (len(COUNTERS),))]
+        table = np.loadtxt(chain([first], cells), dtype=dtype, delimiter=",",
                            comments=None, ndmin=1)
     except ValueError:
         return None
     positions, counters = table["positions"], table["counters"]
-    if not (np.all(((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING))
-            and np.all(counters >= 0) and all(ids) and "" not in category_index
-            and len(set(ids)) == len(ids)):
+    valid = ((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING)
+    if not (days > 0 and np.all(valid) and np.all(counters >= 0) and all(ids)
+            and "" not in category_index and len(set(ids)) == len(ids)):
         return None
     return ids, list(category_index), np.frombuffer(codes, dtype=np.int64), positions, counters
 
@@ -362,46 +371,38 @@ def _bulk_columns(numeric_cells: Iterator[str], ids: list[str],
 _NUMERIC_BYTES = b"0123456789.+-eE,\n"
 
 
-def _bulk_csv(fh, days: int) -> tuple | None:
+def _bulk_csv(fh) -> tuple | None:
     """The `Dataset` columns of the CSV file `fh` by `_bulk_columns`. None,
-    for the row path to decide, when the header is not `_header(days)` and a
-    newline, or a line holds a quote, a carriage return or no text after its
-    second comma, is longer than `csv.field_size_limit()`, or has a numeric
-    cell with a character outside 0-9 . + - e E; or `_bulk_columns` declines."""
-    ids, category_index, codes = [], {}, array("q")
+    for the row path to decide, when the header is not `_header(D)` and a
+    newline for its D >= 1, a line has another cell count, or a line holds
+    a quote, a carriage return or no text after its second comma, is longer
+    than `csv.field_size_limit()`, or has a numeric cell with a character
+    outside 0-9 . + - e E; or `_bulk_columns` declines."""
     field_limit = csv.field_size_limit()
 
-    def numeric_cells():
-        for line in fh:
-            product_id, category, tail = line.split(",", 2)
-            # loadtxt would skip an empty tail. The charset check also finds
-            # a carriage return, since it ends a line.
-            if (tail in ("", "\n") or '"' in line or len(line) > field_limit
-                    or tail.encode().translate(None, _NUMERIC_BYTES)):
-                raise ValueError
-            ids.append(product_id)
-            codes.append(category_index.setdefault(category, len(category_index)))
-            yield tail
+    def split(line: str) -> tuple[str, str, str]:
+        product_id, category, tail = line.split(",", 2)
+        # loadtxt would skip an empty tail. The charset check also finds
+        # a carriage return, since it ends a line.
+        if (tail in ("", "\n") or '"' in line or len(line) > field_limit
+                or tail.encode().translate(None, _NUMERIC_BYTES)):
+            raise ValueError
+        return product_id, category, tail
 
     try:  # a UnicodeDecodeError leaves the file to the row path
-        if fh.readline() != ",".join(_header(days)) + "\n":
-            return None
+        header = fh.readline()
     except ValueError:
         return None
-    return _bulk_columns(numeric_cells(), ids, category_index, codes, days)
+    days = len(header.split(",")) - len(_header(0))
+    if days < 1 or header != ",".join(_header(days)) + "\n":
+        return None
+    columns = _bulk_columns(fh, split)
+    # Every line has the first line's cell count; the header's must agree.
+    return columns if columns is not None and columns[3].shape[1] == days else None
 
 
-def _csv_rows(fh, days: int) -> tuple:
+def _csv_rows(fh) -> tuple:
     """The `Dataset` columns of the CSV file `fh`, read and checked row by row."""
-    header = _header(days)
-    pos_columns, counter_columns = header[2:2 + days], header[2 + days:]
-
-    def decode(cells: list[str]) -> tuple:
-        if len(cells) != len(header):
-            raise SchemaError(f"expected {len(header)} columns, got {len(cells)}")
-        positions = _numbers(float, cells[2:2 + days], pos_columns, "a number")
-        counters = _numbers(int, cells[2 + days:], counter_columns, "an integer")
-        return (cells[0], cells[1], positions, *counters)
 
     def numbered_rows():
         row_no = 0
@@ -415,56 +416,58 @@ def _csv_rows(fh, days: int) -> tuple:
     _, first = next(rows, (1, None))
     if first is None:
         raise SchemaError(f"{fh.name}: empty file")
+    days = max(len(first) - len(_header(0)), 1)
+    header = _header(days)
     if first != header:
-        raise SchemaError(
-            f"{fh.name}: bad header; expected {','.join(header)!r}"
-            f" (pass days=N for a different grid length)"
-        )
+        raise SchemaError(f"{fh.name}: bad header; expected {','.join(header)!r}")
+    pos_columns, counter_columns = header[2:2 + days], header[2 + days:]
+
+    def decode(cells: list[str]) -> tuple:
+        if len(cells) != len(header):
+            raise SchemaError(f"expected {len(header)} columns, got {len(cells)}")
+        positions = _numbers(float, cells[2:2 + days], pos_columns, "a number")
+        counters = _numbers(int, cells[2 + days:], counter_columns, "an integer")
+        return (cells[0], cells[1], positions, *counters)
+
     return _read_rows(((row_no, cells) for row_no, cells in rows if cells), decode, days)
 
 
 _JSONL_KEYS = ("product_id", "category", "positions", "impressions", "clicks", "purchases")
 
-# The parts of the line `write_jsonl` writes, in JSON's grammar: a string
-# with no escape and no control character, a number, a counter. [0-9], since
-# \d also matches other scripts' digits. No quantifier here can give back
-# what it took and still match, so all are possessive (*+, ++, ?+), which
-# saves the regex engine its backtracking records.
+# The line `write_jsonl` writes, in JSON's grammar: a string with no escape
+# and no control character, a non-empty list of numbers, a counter. [0-9],
+# since \d also matches other scripts' digits. No quantifier here can give
+# back what it took and still match, so all are possessive (*+, ++, ?+),
+# which saves the regex engine its backtracking records.
 _JSON_STRING = r'"([^"\\\x00-\x1f]*+)"'
 _JSON_NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
 _JSON_COUNTER = r"(0|[1-9][0-9]*+)"
+_JSON_POSITIONS = rf"\[({_JSON_NUMBER}(?:,{_JSON_NUMBER})*+)\]"
+_JSONL_LINE = r"\{%s\}\n?" % ",".join(f'"{key}":{part}' for key, part in zip(
+    _JSONL_KEYS, (_JSON_STRING, _JSON_STRING, _JSON_POSITIONS, *[_JSON_COUNTER] * 3)))
 
 
-def _bulk_jsonl(fh, days: int) -> tuple | None:
+def _bulk_jsonl(fh) -> tuple | None:
     """The `Dataset` columns of the JSONL file `fh` by `_bulk_columns`. None,
-    for the row path to decide, when a line is not the one `write_jsonl`
-    writes for `days` positions: the keys of `_JSONL_KEYS` in that order, no
-    whitespace, strings with no quote, backslash or U+0000-U+001F, numbers
+    for the row path to decide, when a line is not one `write_jsonl` writes
+    (`_JSONL_LINE`): the keys of `_JSONL_KEYS` in order, no whitespace,
+    strings with no quote, backslash or U+0000-U+001F, one or more numbers
     in JSON's grammar, counters of digits only, then "\\n" or the end of
     the file; or `_bulk_columns` declines."""
-    positions = rf"\[({','.join([_JSON_NUMBER] * days)})\]"
-    parts = (_JSON_STRING, _JSON_STRING, positions, *[_JSON_COUNTER] * 3)
-    fields = ",".join(f'"{key}":{part}' for key, part in zip(_JSONL_KEYS, parts))
-    match = re.compile(rf"\{{{fields}\}}\n?").fullmatch
+    match = re.compile(_JSONL_LINE).fullmatch  # here, so that CSV loads skip it
 
-    ids, category_index, codes = [], {}, array("q")
+    def split(line: str) -> tuple[str, str, str]:
+        m = match(line)
+        if m is None:
+            raise ValueError
+        product_id, category, *numbers = m.groups()
+        return product_id, category, ",".join(numbers)
 
-    def numeric_cells():
-        for line in fh:
-            m = match(line)
-            if m is None:
-                raise ValueError
-            product_id, category, *numbers = m.groups()
-            ids.append(product_id)
-            codes.append(category_index.setdefault(category, len(category_index)))
-            yield ",".join(numbers)
-
-    return _bulk_columns(numeric_cells(), ids, category_index, codes, days)
+    return _bulk_columns(fh, split)
 
 
-def _jsonl_rows(fh, days: int) -> tuple:
+def _jsonl_rows(fh) -> tuple:
     """The `Dataset` columns of the JSONL file `fh`, read and checked row by row."""
-    pos_columns = _header(days)[2:2 + days]
 
     def decode(line: str) -> tuple:
         try:
@@ -477,18 +480,16 @@ def _jsonl_rows(fh, days: int) -> tuple:
         if missing:
             raise SchemaError(f"missing keys {missing}")
         positions = obj["positions"]
-        if not isinstance(positions, list) or len(positions) != days:
-            raise SchemaError(f"column 'positions': expected {days} values")
+        if not isinstance(positions, list):
+            raise SchemaError("column 'positions': not a list")
         # Checking the types first leaves float as the only call per entry.
         convert = float if {*map(type, positions)} <= {int, float} else _json_number
         return (obj["product_id"], obj["category"],
-                _numbers(convert, positions, pos_columns, "a number"),
+                _numbers(convert, positions, map("pos_{}".format, count()), "a number"),
                 obj["impressions"], obj["clicks"], obj["purchases"])
 
     return _read_rows(
-        ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()),
-        decode, days,
-    )
+        ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip()), decode)
 
 
 def _is_jsonl(path) -> bool:
@@ -496,19 +497,20 @@ def _is_jsonl(path) -> bool:
     return os.fspath(path).endswith((".jsonl", ".ndjson", ".json"))
 
 
-def load_dataset(path, *, days: int = DAYS_DEFAULT) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`: by the
-    format's bulk path, or by its row path when the bulk path declines."""
+    format's bulk path, or by its row path when the bulk path declines. The
+    file gives the day count: the CSV header, or the first JSONL record."""
     path = os.fspath(path)
     if _is_jsonl(path):
         bulk, by_row, newline = _bulk_jsonl, _jsonl_rows, None
     else:
         bulk, by_row, newline = _bulk_csv, _csv_rows, ""
     with open(path, "r", newline=newline, encoding="utf-8") as fh:
-        columns = bulk(fh, days)
+        columns = bulk(fh)
         if columns is None:
             fh.seek(0)
-            columns = by_row(fh, days)
+            columns = by_row(fh)
     return Dataset._from_columns(columns)
 
 

@@ -297,6 +297,20 @@ def test_rates_plot_data_quotes_odd_category_names():
     ]
 
 
+def test_a_category_named_like_the_rollup_keeps_both():
+    """The rollup rows and a category named OVERALL stay apart: `overall`
+    reads the rollup, and the plot data has a line for each."""
+    flat = (5.0,) * 14
+    rising = (5.0, 9.0, 20.0) + (30.0,) * 11
+    ds = Dataset([ProductRecord("p1", OVERALL, flat, 1, 1, 1),
+                  ProductRecord("p2", "c1", rising, 1, 1, 1)])
+    table = satisfaction_rates(ds, [build("flat_start")])
+    assert table.overall("flat_start") == 0.5
+    assert table.rate(OVERALL, "flat_start") == 1.0
+    assert rates_plot_data(table) == (
+        "# category flat_start\n(all) 1.000000\nc1 0.000000\n(all) 0.500000\n")
+
+
 def test_centroid_averaging_flattens_excursions():
     """Many one-day excursions at random days average out, so cluster
     centroids stop satisfying the jump properties even when every member

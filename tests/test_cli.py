@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -13,6 +15,8 @@ from stlrank import (
     ProductRecord,
     Trace,
     TraceSet,
+    build,
+    cluster_kmeans,
     default_library,
     eval_naive,
     load_dataset,
@@ -20,6 +24,7 @@ from stlrank import (
     print_formula,
     write_csv,
 )
+from stlrank.ingest import write_dataset
 from stlrank.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -180,7 +185,9 @@ MALFORMED_ROWS = [
     ("jsonl", {"pos_13": True}, "row 2: column 'pos_13': not a number: True"),
     ("jsonl", {"pos_3": 0.5}, "row 2: record 'p2': pos_3 must be >= 1 or -1, got 0.5"),
     ("jsonl", {"pos_0": -2}, "row 2: record 'p2': pos_0 must be >= 1 or -1, got -2.0"),
-    ("jsonl", {"positions": [5] * 13}, "row 2: column 'positions': expected 14 values"),
+    ("jsonl", {"positions": [5] * 13},
+     "row 2: record 'p2': 13 positions, the first record has 14"),
+    ("jsonl", {"positions": 5}, "row 2: column 'positions': not a list"),
     ("jsonl", {"impressions": -3},
      "row 2: record 'p2': impressions must be a non-negative integer, got -3"),
     ("jsonl", {"clicks": -1}, "row 2: record 'p2': clicks must be a non-negative integer, got -1"),
@@ -400,6 +407,23 @@ def test_expand_query_string(capsys):
     assert main(["expand", "--property", "flat_start", "--horizon", "5", "--query"]) == 2
 
 
+@pytest.mark.parametrize("window", [["--w", "2.5"], ["--param", "w=1.5"]])
+def test_expand_query_with_a_fractional_window_is_a_usage_error(window, capsys):
+    argv = ["expand", "--property", "ditch", "--query", "--horizon", "5", *window]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    w = window[1].removeprefix("w=")
+    assert captured.err == f"error: --query requires a whole-day window w, got {w}\n"
+
+
+def test_days_is_no_longer_an_option(dataset, capsys):
+    assert main(["rates", "-i", str(dataset), "--days", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --days 14\n")
+
+
 def test_expand_formula_to_file(tmp_path, capsys):
     out = tmp_path / "expansion.txt"
     code = main(
@@ -506,7 +530,7 @@ def test_cli_option_strings_are_pinned():
     surface = {name: sorted(s for a in p._actions for s in a.option_strings)
                for name, p in sub.choices.items()}
     surface[None] = sorted(s for a in parser._actions for s in a.option_strings)
-    dataset = ["--complete-only", "--days", "--input", "-i"]
+    dataset = ["--complete-only", "--input", "-i"]
     params = ["--d", "--epsilon", "--param", "--r", "--s", "--w"]
     formula = ["--formula", "--formula-file", "--property"]
     common = ["--help", "-h"]
@@ -619,3 +643,92 @@ def test_outputs_match_the_naive_oracle(tmp_path, capsys):
             assert main(argv + (["--strict-until"] if strict else [])) == 0
             want = naive_verdicts(ds, [parse_formula(text)], strict)[:, 0]
             assert capsys.readouterr().out == expected_check(ds, text, want)
+
+
+def expected_kmeans(ds, k, seed):
+    """The `kmeans` summary, with eval_naive verdicts on the centroids."""
+    result = cluster_kmeans(ds, k=k, seed=seed)
+    lines, hits = [], 0
+    for c, centroid in enumerate(result.centroids):
+        w = reference_traceset(centroid)
+        ditch, spike = (eval_naive(build(name).formula, w) for name in ("ditch", "spike"))
+        hits += ditch or spike
+        size = int((result.assignments == c).sum())
+        lines.append(f"centroid {c}: size={size} ditch={'yes' if ditch else 'no'}"
+                     f" spike={'yes' if spike else 'no'}")
+    lines.append(f"iterations: {result.iterations}")
+    lines.append(f"distortion: {result.distortion_history[-1]:.4f}")
+    lines.append(f"centroids satisfying ditch or spike: {hits}/{k}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_a_ten_day_file_needs_no_option(suffix, tmp_path, capsys):
+    """The file gives the day count: 10-day records run through rates,
+    check --each and kmeans with no flag, and match the naive oracle."""
+    full = tmp_path / "full.csv"
+    mix = "flat=0.2,cold=0.15,warm=0.15,spiky=0.2,missing=0.15,random=0.15"
+    assert main(["generate", "-o", str(full), "--n", "120", "--categories", "5",
+                 "--noise-sigma", "0.5", "--mix", mix, "--seed", "23"]) == 0
+    ds = Dataset(ProductRecord(r.product_id, r.category, r.positions[:10], r.impressions,
+                               r.clicks, r.purchases) for r in load_dataset(str(full)).records)
+    data = tmp_path / ("ten" + suffix)
+    write_dataset(ds, str(data))
+    assert load_dataset(str(data)).positions.shape == (120, 10)
+    specs = default_library()
+    names = [spec.name for spec in specs]
+    verdicts = naive_verdicts(ds, [spec.formula for spec in specs])
+
+    rates = tmp_path / "rates.csv"
+    assert main(["rates", "-i", str(data), "-o", str(rates)]) == 0
+    assert rates.read_text() == expected_rates_csv(ds, names, verdicts)
+
+    capsys.readouterr()
+    for text in ORACLE_FORMULAS:
+        for strict in (False, True):
+            argv = ["check", "-i", str(data), "--each", "--formula", text]
+            assert main(argv + (["--strict-until"] if strict else [])) == 0
+            want = naive_verdicts(ds, [parse_formula(text)], strict)[:, 0]
+            assert capsys.readouterr().out == expected_check(ds, text, want)
+
+    cent = tmp_path / "centroids.csv"
+    assert main(["kmeans", "-i", str(data), "--k", "4", "--seed", "3", "-o", str(cent)]) == 0
+    assert capsys.readouterr().out == expected_kmeans(ds, 4, 3)
+    assert cent.read_text().splitlines()[0] == ",".join(
+        ["centroid", *(f"pos_{i}" for i in range(10))])
+
+
+def readme_commands(text):
+    """Each `stlrank ...` or `python -m stlrank ...` command in the fenced
+    code blocks of `text`, as an argument list, with continued lines joined."""
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            for prefix in (["stlrank"], ["python", "-m", "stlrank"],
+                           ["python3", "-m", "stlrank"]):
+                if words[:len(prefix)] == prefix:
+                    commands.append(words[len(prefix):])
+    return commands
+
+
+def unparsed(commands):
+    """The commands `build_parser()` rejects."""
+    bad = []
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            bad.append(argv)
+    return bad
+
+
+def test_readme_commands_parse(capsys):
+    """A removed or renamed flag cannot leave the README stale."""
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        commands = readme_commands(fh.read())
+    assert len(commands) >= 7
+    assert unparsed(commands) == []
+    stale = "```sh\npython -m stlrank rates -i data.csv \\\n    --days 10\n```\n"
+    assert unparsed(readme_commands(stale)) == [["rates", "-i", "data.csv", "--days", "10"]]

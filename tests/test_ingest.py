@@ -318,27 +318,70 @@ def test_labels_sidecar(tmp_path):
     assert lines[1].startswith("p000000,")
 
 
-def test_days_override(tmp_path):
-    header = "product_id,category,pos_0,pos_1,impressions,clicks,purchases\n"
-    (tmp_path / "short.csv").write_text(header + "p1,c0,5,6,1,1,1\n")
-    ds = load_dataset(str(tmp_path / "short.csv"), days=2)
-    assert len(ds.records[0].positions) == 2
-    with pytest.raises(SchemaError):
-        load_dataset(str(tmp_path / "short.csv"))  # default expects 14
+SHORT_HEADER = "product_id,category,pos_0,pos_1,impressions,clicks,purchases\n"
+
+
+def test_the_file_gives_the_day_count(tmp_path):
+    (tmp_path / "short.csv").write_text(SHORT_HEADER + "p1,c0,5,6,1,1,1\n")
+    (tmp_path / "short.jsonl").write_text(
+        '{"product_id":"p1","category":"c0","positions":[5,6],'
+        '"impressions":1,"clicks":1,"purchases":1}\n')
+    for name in ("short.csv", "short.jsonl"):
+        ds = load_dataset(str(tmp_path / name))
+        assert ds.positions.tolist() == [[5.0, 6.0]]
+        assert ds.counters.tolist() == [[1, 1, 1]]
+
+
+@pytest.mark.parametrize("header", [
+    "product_id,category,impressions,clicks,purchases",
+    "product_id,category,pos_1,impressions,clicks,purchases",
+    "product_id,category,pos_0,pos_1,impressions,clicks",
+], ids=["no-positions", "misnamed", "no-purchases"])
+def test_a_bad_header_names_the_header_of_its_length(header, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n")
+    days = max(len(header.split(",")) - 5, 1)
+    expected = ",".join(["product_id", "category", *(f"pos_{i}" for i in range(days)),
+                         "impressions", "clicks", "purchases"])
+    with pytest.raises(SchemaError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"{path}: bad header; expected {expected!r}"
+
+
+@pytest.mark.parametrize("suffix,text,message", [
+    (".csv", SHORT_HEADER + "p1,c0,5,6,1,1,1\np2,c0,5,1,1,1\n",
+     "row 3: expected 7 columns, got 6"),
+    (".csv", SHORT_HEADER + "p1,c0,5,6,7,1,1,1\np2,c0,5,6,1,1,1\n",
+     "row 2: expected 7 columns, got 8"),
+    (".jsonl", "".join(
+        f'{{"product_id":"p{i}","category":"c0","positions":{json.dumps(pos)},'
+        f'"impressions":1,"clicks":1,"purchases":1}}\n'
+        for i, pos in enumerate([[5, 6], [5, 6, 7]], start=1)),
+     "row 2: record 'p2': 3 positions, the first record has 2"),
+], ids=["csv-short-row", "csv-long-first-row", "jsonl-second-record"])
+def test_a_row_of_another_day_count_names_its_row(suffix, text, message, tmp_path):
+    path = tmp_path / ("mixed" + suffix)
+    path.write_text(text)
+    with pytest.raises(SchemaError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
 def test_a_file_with_no_records_keeps_its_day_count(suffix, tmp_path):
+    """A header-only CSV keeps the day count of its header; an empty JSONL
+    file has none, so it gets DAYS_DEFAULT days, as Dataset() does."""
     header = "product_id,category,pos_0,pos_1,pos_2,impressions,clicks,purchases\n"
     path = tmp_path / ("empty" + suffix)
     path.write_text(header if suffix == ".csv" else "")
-    ds = load_dataset(str(path), days=3)
-    assert ds.positions.shape == (0, 3)
-    assert filter_complete(ds).positions.shape == (0, 3)
+    days = 3 if suffix == ".csv" else 14
+    ds = load_dataset(str(path))
+    assert ds.positions.shape == (0, days)
+    assert filter_complete(ds).positions.shape == (0, days)
     again = tmp_path / ("again" + suffix)
     write_dataset(ds, str(again))
     assert again.read_text() == path.read_text()
-    assert load_dataset(str(again), days=3).positions.shape == (0, 3)
+    assert load_dataset(str(again)).positions.shape == (0, days)
     assert Dataset().positions.shape == (0, 14)
 
 
@@ -377,11 +420,11 @@ def apply_edits(items, edits, replace=lambda old, value: value):
     return items
 
 
-def check_mutated_load(path, bad_row):
+def check_mutated_load(path, *bad_rows):
     try:
         loaded = load_dataset(str(path))
     except SchemaError as exc:
-        assert str(exc).startswith(f"row {bad_row}: "), str(exc)
+        assert any(str(exc).startswith(f"row {row}: ") for row in bad_rows), str(exc)
         return
     assert len(loaded) == len(FUZZ_BASE)
     for write, fmt in ((write_csv, "csv"), (write_jsonl, "jsonl")):
@@ -401,7 +444,7 @@ def test_mutated_csv_rows_load_or_name_their_row(row, edits, tmp_path):
     rows[1 + row] = apply_edits(rows[1 + row], edits)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-    check_mutated_load(path, bad_row=2 + row)
+    check_mutated_load(path, 2 + row)
 
 
 @settings(max_examples=150, deadline=None,
@@ -419,7 +462,11 @@ def test_mutated_jsonl_rows_load_or_name_their_row(row, in_positions, edits, tmp
         pairs = apply_edits(pairs, edits, replace=lambda old, value: (old[0], value))
     lines[row] = "{" + ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in pairs) + "}"
     path.write_text("\n".join(lines) + "\n")
-    check_mutated_load(path, bad_row=1 + row)
+    # The first record sets the day count: when its positions change length,
+    # the next record is the one that differs.
+    positions = json.loads(lines[0]).get("positions")
+    resized = row == 0 and isinstance(positions, list) and len(positions) != 14
+    check_mutated_load(path, 1 + row, *([2] if resized else []))
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +483,12 @@ LAYOUTS = ["plain", "quoted", "crlf", "blank line", "header only", "no final new
 POSITION, COUNTER = 3, -2  # pos_1 and clicks, on either grid
 
 
-def columns_or_error(path, days, read, newline=""):
-    """`read(fh, days)` on `path` opened as the loader opens a CSV file
+def columns_or_error(path, read, newline=""):
+    """`read(fh)` on `path` opened as the loader opens a CSV file
     (newline="") or, with newline=None, a JSONL file."""
     with open(path, newline=newline, encoding="utf-8") as fh:
         try:
-            columns = read(fh, days)
+            columns = read(fh)
         except SchemaError as exc:
             return f"{type(exc).__name__}: {exc}"
     if columns is None:
@@ -451,8 +498,8 @@ def columns_or_error(path, days, read, newline=""):
             positions.tobytes(), counters.dtype, counters.tolist())
 
 
-def load_columns(fh, days):
-    ds = load_dataset(fh.name, days=days)
+def load_columns(fh):
+    ds = load_dataset(fh.name)
     return ds.ids, ds.categories, ds.category_codes, ds.positions, ds.counters
 
 
@@ -509,9 +556,9 @@ def write_mutated_csv(path, days, row, edits, layout):
 def test_bulk_and_per_row_csv_paths_agree(days, row, edits, layout, tmp_path):
     path = tmp_path / "fuzz.csv"
     write_mutated_csv(path, days, row, edits, layout)
-    per_row = columns_or_error(path, days, _csv_rows)
-    assert columns_or_error(path, days, load_columns) == per_row
-    bulk = columns_or_error(path, days, _bulk_csv)
+    per_row = columns_or_error(path, _csv_rows)
+    assert columns_or_error(path, load_columns) == per_row
+    bulk = columns_or_error(path, _bulk_csv)
     if bulk is not None:
         assert bulk == per_row
 
@@ -520,7 +567,7 @@ def test_bulk_and_per_row_csv_paths_agree(days, row, edits, layout, tmp_path):
 def test_bulk_csv_path_reads_a_canonical_file(days, tmp_path):
     path = tmp_path / "plain.csv"
     write_mutated_csv(path, days, 0, [("replace", POSITION, "7")], "plain")
-    assert columns_or_error(path, days, _bulk_csv) == columns_or_error(path, days, _csv_rows)
+    assert columns_or_error(path, _bulk_csv) == columns_or_error(path, _csv_rows)
 
 
 TINY_HEADER = "product_id,category,pos_0,pos_1,pos_2,impressions,clicks,purchases\n"
@@ -534,13 +581,17 @@ TINY_HEADER = "product_id,category,pos_0,pos_1,pos_2,impressions,clicks,purchase
     "p1,c0,5,5,5,1,1,1\n\n",
     "p1,c0,5,5,5,1,1,1\r\n",
     "x" * (csv.field_size_limit() + 1) + ",c0,5,5,5,1,1,1\n",
+    "p1,c0,5,5,5,5,1,1,1\np2,c0,5,5,5,5,1,1,1\n",
+    "p1,c0,5,5,5,1,1,1\np2,c0,5,5,1,1,1\n",
+    "p1,c0,1,1,1\n",
 ], ids=["header-only", "no-numbers", "no-numbers-no-newline", "no-numbers-between",
-        "blank-line", "crlf", "longer-than-a-csv-field"])
+        "blank-line", "crlf", "longer-than-a-csv-field", "more-days-than-the-header",
+        "fewer-days-than-the-first-row", "no-positions"])
 def test_bulk_csv_path_declines_what_loadtxt_would_skip_or_csv_reject(rows, tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text(TINY_HEADER + rows, encoding="utf-8")
-    assert columns_or_error(path, 3, _bulk_csv) is None
-    assert columns_or_error(path, 3, load_columns) == columns_or_error(path, 3, _csv_rows)
+    assert columns_or_error(path, _bulk_csv) is None
+    assert columns_or_error(path, load_columns) == columns_or_error(path, _csv_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +701,9 @@ def write_mutated_jsonl(path, days, row, edits, layout):
 def test_bulk_and_per_row_jsonl_paths_agree(days, row, edits, layout, tmp_path):
     path = tmp_path / "fuzz.jsonl"
     write_mutated_jsonl(path, days, row, edits, layout)
-    per_row = columns_or_error(path, days, _jsonl_rows, newline=None)
-    assert columns_or_error(path, days, load_columns, newline=None) == per_row
-    bulk = columns_or_error(path, days, _bulk_jsonl, newline=None)
+    per_row = columns_or_error(path, _jsonl_rows, newline=None)
+    assert columns_or_error(path, load_columns, newline=None) == per_row
+    bulk = columns_or_error(path, _bulk_jsonl, newline=None)
     if bulk is not None:
         assert bulk == per_row
 
@@ -664,9 +715,9 @@ def test_bulk_jsonl_path_reads_a_canonical_file(days, tmp_path):
     write_jsonl(FUZZ_BASE, str(canonical))
     # With no edit, the line model writes what write_jsonl writes.
     assert (path.read_bytes() == canonical.read_bytes()) == (days == 14)
-    bulk = columns_or_error(path, days, _bulk_jsonl, newline=None)
+    bulk = columns_or_error(path, _bulk_jsonl, newline=None)
     assert bulk is not None
-    assert bulk == columns_or_error(path, days, _jsonl_rows, newline=None)
+    assert bulk == columns_or_error(path, _jsonl_rows, newline=None)
 
 
 def test_bulk_jsonl_path_reads_a_generated_file(tmp_path):
@@ -676,7 +727,7 @@ def test_bulk_jsonl_path_reads_a_generated_file(tmp_path):
                                   noise_sigma=0.5, seed=16))
     path = tmp_path / "six.jsonl"
     write_jsonl(ds, str(path))
-    bulk = columns_or_error(path, 14, _bulk_jsonl, newline=None)
+    bulk = columns_or_error(path, _bulk_jsonl, newline=None)
     assert bulk is not None
-    assert bulk == columns_or_error(path, 14, _jsonl_rows, newline=None)
+    assert bulk == columns_or_error(path, _jsonl_rows, newline=None)
     assert_same_columns(load_dataset(str(path)), ds)

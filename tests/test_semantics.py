@@ -164,6 +164,8 @@ def test_no_channels_to_evaluate_on_raises():
         ({"x": np.zeros((3, 0)), "y": np.zeros((3, 2))}, "has no days"),
         ({"x": [[1.0, 2.0], [3.0]], "y": np.zeros((2, 2))}, "channel 'x'"),
         ({"x": ["a", "b"], "y": np.zeros(2)}, "channel 'x'"),
+        ({"x": [[1.0, np.nan, 2.0]], "y": np.zeros((1, 3))}, "channel 'x': values must be finite"),
+        ({"x": np.zeros((1, 3)), "y": [[1.0, np.inf, 2.0]]}, "channel 'y': values must be finite"),
     ],
 )
 def test_malformed_row_channels_raise_evaluation_error(channels, message):
