@@ -46,7 +46,7 @@ from .core.formula import (
     children,
     operator_count,
 )
-from .core.semantics import eval_predicate, eval_rows
+from .core.semantics import _checked, _per_time, eval_predicate
 from .ingest import COUNTERS, Dataset, position_channels
 from .parser import _fmt_num, print_formula
 from .props import PropertySpec
@@ -154,15 +154,16 @@ class RateTable:
 
 
 def verdict_matrix(
-    ds: Dataset, formulas: Sequence[Formula], *, until_strict: bool = False
+    positions: np.ndarray, formulas: Sequence[Formula], *, until_strict: bool = False
 ) -> np.ndarray:
-    """out[i, j] = record i satisfies formula j; one `eval_rows` pass over
-    all records per formula."""
-    out = np.zeros((len(ds), len(formulas)), dtype=bool)
-    if len(ds):
-        channels = position_channels(ds.positions)
+    """out[i, j] = row i of a (rows, days) position matrix satisfies formula
+    j, as `eval_rows` gives it. The channels are built and checked once and
+    serve every formula; with no rows, nothing is built or evaluated."""
+    out = np.zeros((len(positions), len(formulas)), dtype=bool)
+    if len(positions):
+        channels = _checked(position_channels(positions))
         for j, f in enumerate(formulas):
-            out[:, j] = eval_rows(f, channels, until_strict=until_strict)
+            out[:, j] = _per_time(f, channels, until_strict)[1][:, 0]
     return out
 
 
@@ -176,7 +177,7 @@ def satisfaction_rates(
     property should only see fully ranked histories. `jobs` is accepted and
     ignored: one batched pass over all records replaced the process pool.
     """
-    verdicts = verdict_matrix(ds, [spec.formula for spec in specs])
+    verdicts = verdict_matrix(ds.positions, [spec.formula for spec in specs])
     totals = np.bincount(ds.category_codes, minlength=len(ds.categories))
     rows: list[RateRow] = []
     for j, spec in enumerate(specs):
@@ -227,7 +228,7 @@ def metric_distribution(
 ) -> MetricTable:
     """Mean engagement counters among satisfying and violating records;
     `jobs` is accepted and ignored, as in `satisfaction_rates`."""
-    verdicts = verdict_matrix(ds, [spec.formula for spec in specs])
+    verdicts = verdict_matrix(ds.positions, [spec.formula for spec in specs])
     metric_values = dict(zip(COUNTERS, ds.counters.T.astype(np.float64)))
     rows: list[MetricRow] = []
     for j, spec in enumerate(specs):

@@ -29,7 +29,7 @@ from .analytics import (
     satisfaction_rates,
     verdict_matrix,
 )
-from .core.semantics import EvaluationError, eval_rows
+from .core.semantics import EvaluationError
 from .ingest import (
     DatasetError,
     filter_complete,
@@ -37,7 +37,6 @@ from .ingest import (
     GeneratorConfig,
     labels_path_for,
     load_dataset,
-    position_channels,
     write_dataset,
     write_labels,
 )
@@ -135,7 +134,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     formula = _resolve_formula(args)
     ds = _load(args)
-    verdicts = verdict_matrix(ds, [formula], until_strict=args.strict_until)[:, 0]
+    verdicts = verdict_matrix(ds.positions, [formula], until_strict=args.strict_until)[:, 0]
     if args.each:
         sys.stdout.writelines(f"{pid}\t{'satisfied' if ok else 'violated'}\n"
                               for pid, ok in zip(ds.ids, verdicts.tolist()))
@@ -147,27 +146,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
+    """`rates` and `metrics`: `args.table` tabulates the property library."""
     specs = default_library(**_collect_overrides(args))
-    ds = _load(args)
-    table = satisfaction_rates(ds, specs)
+    table = args.table(_load(args), specs)
     if args.output:
         _write_text(args.output, table.to_csv_text())
     else:
         sys.stdout.write(table.to_text())
-    if args.emit_plot_data:
+    if getattr(args, "emit_plot_data", None):
         _write_text(args.emit_plot_data, rates_plot_data(table))
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    specs = default_library(**_collect_overrides(args))
-    ds = _load(args)
-    table = metric_distribution(ds, specs)
-    if args.output:
-        _write_text(args.output, table.to_csv_text())
-    else:
-        sys.stdout.write(table.to_text())
     return 0
 
 
@@ -233,9 +221,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_kmeans(args: argparse.Namespace) -> int:
     ds = _load(args)
     result = cluster_kmeans(ds, k=args.k, seed=args.seed, max_iter=args.max_iter)
-    channels = position_channels(result.centroids)
-    ditch = eval_rows(build("ditch").formula, channels)
-    spike = eval_rows(build("spike").formula, channels)
+    ditch, spike = verdict_matrix(
+        result.centroids, [build("ditch").formula, build("spike").formula]).T
     for c in range(args.k):
         size = int((result.assignments == c).sum())
         print(
@@ -284,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p)
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
     p.add_argument("--emit-plot-data", metavar="PATH", help="write gnuplot data file")
-    p.set_defaults(func=_cmd_rates)
+    p.set_defaults(func=_cmd_table, table=satisfaction_rates)
 
     p = sub.add_parser("metrics", help="engagement means among satisfying records")
     _add_dataset_args(p)
     _add_param_args(p)
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
-    p.set_defaults(func=_cmd_metrics)
+    p.set_defaults(func=_cmd_table, table=metric_distribution)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("--output", "-o", required=True, help="destination file (csv or jsonl)")

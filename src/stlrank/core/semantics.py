@@ -34,8 +34,10 @@ operator costs O(n) on the day grid (Donze, Ferrere & Maler, CAV 2013) and
 the whole evaluation O(n * |formula|). The array passes live in `kernels`.
 Both evaluators agree bit for bit at every day.
 
-`eval_rows` runs the same pass over R traces at once, each node an (R, n)
-array whose window offsets serve all rows; datasets are evaluated this way.
+One core, `_per_time`, runs that pass for `eval_fast` and for `eval_rows`,
+which takes R traces at once, each node an (R, n) array whose window offsets
+serve all rows. `eval_rows` checks its channels (`_checked`) first; the
+dataset entry, `analytics.verdict_matrix`, checks them once for all formulas.
 
 Both evaluators, and the grounded evaluator of propositional expansion, read
 terms through `eval_term` and comparisons through `eval_predicate`; numpy
@@ -194,21 +196,27 @@ def _node_on_grid(
     raise FormulaError(f"not a formula: {f!r}")
 
 
+def _per_time(
+    f: Formula, arrays: dict[str, np.ndarray], strict: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The days 0..n-1 of `f`'s grid and its satisfaction on each, of shape
+    (..., n) for channels of one leading shape, each (..., n_c) on days
+    0..n_c-1. `eval_fast` keeps the grid as `Verdict.times`: a second
+    arange per call shows on long traces."""
+    n = _grid_length(f, {name: values.shape[-1] for name, values in arrays.items()})
+    shape = next(iter(arrays.values())).shape[:-1] + (n,)
+    grid = np.arange(n, dtype=np.int64)
+    return grid, _node_on_grid(f, lambda name: arrays[name][..., :n], grid, shape, strict)
+
+
 def eval_fast(f: Formula, w: TraceSet, *, until_strict: bool = False) -> Verdict:
     """Evaluate at every day of the grid in one bottom-up pass; O(n * |formula|)."""
-    grid = evaluation_grid(f, w)
-    n = grid.size
-    per_time = _node_on_grid(f, lambda name: w[name].values[:n], grid, grid.shape, until_strict)
-    return Verdict(satisfied=bool(per_time[0]), times=grid, per_time=per_time)
+    times, per_time = _per_time(f, {tr.channel: tr.values for tr in w}, until_strict)
+    return Verdict(satisfied=bool(per_time[0]), times=times, per_time=per_time)
 
 
-def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray:
-    """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
-    of row r. `channels` maps each name to an (R, n_c) matrix on days
-    0..n_c-1; the evaluation grid is as for `eval_fast`. Channels of one
-    trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric,
-    has no day or a value that is not finite (as `Trace` requires), or
-    channels whose leading shapes differ, raise EvaluationError."""
+def _checked(channels) -> dict[str, np.ndarray]:
+    """`channels` as float arrays, checked as `eval_rows` states."""
     arrays = {}
     for name, values in channels.items():
         try:
@@ -222,11 +230,17 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
     shapes = {values.shape[:-1] for values in arrays.values()}
     if len(shapes) > 1:
         raise EvaluationError(f"channels differ in their leading shapes: {sorted(shapes)}")
-    n = _grid_length(f, {name: values.shape[-1] for name, values in arrays.items()})
-    shape = shapes.pop() + (n,)
-    grid = np.arange(n, dtype=np.int64)
-    per_time = _node_on_grid(f, lambda name: arrays[name][..., :n], grid, shape, until_strict)
-    return per_time[..., 0]
+    return arrays
+
+
+def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray:
+    """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
+    of row r. `channels` maps each name to an (R, n_c) matrix on days
+    0..n_c-1; the evaluation grid is as for `eval_fast`. Channels of one
+    trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric,
+    has no day or a value that is not finite (as `Trace` requires), or
+    channels whose leading shapes differ, raise EvaluationError."""
+    return _per_time(f, _checked(channels), until_strict)[1][..., 0]
 
 
 # ---------------------------------------------------------------------------

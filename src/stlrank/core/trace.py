@@ -103,10 +103,3 @@ class TraceSet:
 
     def __len__(self) -> int:
         return len(self._traces)
-
-    def common_times(self, channels: Iterable[str] | None = None) -> np.ndarray:
-        """Days 0..n-1 that all the given channels sample, n the length of
-        the shortest; every channel in the set when none are given. Raises
-        TraceError when a channel is unknown."""
-        names = list(channels) if channels is not None else []
-        return np.arange(min(len(self[c]) for c in names or self._traces), dtype=np.int64)

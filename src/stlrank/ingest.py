@@ -33,8 +33,8 @@ result or the error text.
 
 `position_channels` turns a record's positions, or a dataset's (records,
 days) matrix, into the evaluable signals: channel "x" with the positions
-verbatim (sentinels included) and channel "d1(x)" with the one-day
-differences, one sample shorter. A difference that touches a
+verbatim (sentinels included) and, given two days or more, channel "d1(x)"
+with the one-day differences, one sample shorter. A difference that touches a
 missing day is meaningless, so it is set to 0 and reported in the flag mask
 returned by `derivative_values`; filter candidates first (`filter_complete`
 or the miss properties) when that matters.
@@ -231,14 +231,17 @@ def derivative_values(positions) -> tuple[np.ndarray, np.ndarray]:
 
 
 def position_channels(positions) -> dict[str, np.ndarray]:
-    """Channels "x" (the positions, days 0..n-1) and "d1(x)" (their one-day
-    differences, days 0..n-2) of a row or a (records, days) matrix."""
+    """Channels "x" (the positions, days 0..n-1) and, when n >= 2, "d1(x)"
+    (their one-day differences, days 0..n-2) of a row or a (records, days)
+    matrix."""
     pos = np.asarray(positions, dtype=np.float64)
-    return {"x": pos, "d1(x)": derivative_values(pos)[0]}
+    if pos.ndim and pos.shape[-1] >= 2:
+        return {"x": pos, "d1(x)": derivative_values(pos)[0]}
+    return {"x": pos}
 
 
 def traceset_from_positions(positions: Sequence[float]) -> TraceSet:
-    """Channels "x" (days 0..n-1) and "d1(x)" (days 0..n-2) for a signal."""
+    """The `position_channels` of a signal as traces."""
     return TraceSet(
         Trace(name, np.arange(values.size, dtype=np.int64), values)
         for name, values in position_channels(positions).items()

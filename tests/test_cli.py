@@ -246,6 +246,29 @@ def test_kmeans_on_a_file_with_no_records(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least k=2 usable records, have 0\n"
 
 
+def test_check_on_a_file_with_no_records_reads_no_channel(tmp_path, capsys):
+    path = tmp_path / "header_only.csv"
+    write_csv(Dataset([]), str(path))
+    assert main(["check", "-i", str(path), "--formula", "y < 1"]) == 0
+    assert capsys.readouterr() == ("formula: y < 1\nsatisfied 0/0 (nan)\n", "")
+
+
+D1_UNKNOWN = "error: formula mentions unknown channel 'd1(x)'\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["check", "--formula", "x < 5"], 0, "formula: x < 5\nsatisfied 1/1 (1.0000)\n", ""),
+    (["check", "--formula", "F(d1(x) < 5)"], 2, "", D1_UNKNOWN),
+    (["rates"], 2, "", D1_UNKNOWN),
+    (["kmeans", "--k", "1"], 2, "", D1_UNKNOWN),
+], ids=["x", "d1", "rates", "kmeans"])
+def test_a_one_day_file_has_no_derivative_channel(argv, code, out, err, tmp_path, capsys):
+    path = tmp_path / "one_day.csv"
+    path.write_text("product_id,category,pos_0,impressions,clicks,purchases\np1,c0,3,1,0,0\n")
+    assert main([argv[0], "-i", str(path), *argv[1:]]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize("max_iter", ["0", "-2"])
 def test_kmeans_max_iter_below_one_is_a_usage_error(max_iter, dataset, capsys):
     assert main(["kmeans", "-i", str(dataset), "--k", "2", "--max-iter", max_iter]) == 2

@@ -19,7 +19,9 @@ from stlrank import (
     filter_complete,
     generate,
     load_dataset,
+    position_channels,
     to_traceset,
+    traceset_from_positions,
     write_csv,
     write_jsonl,
 )
@@ -78,6 +80,15 @@ def test_derivative_flags_sentinel_neighbors():
     d, flagged = derivative_values([[5.0, 7.0, -1.0, 4.0, 4.0], [1.0, 2.0, 4.0, 8.0, -1.0]])
     assert d.tolist() == [[2.0, 0.0, 0.0, 0.0], [1.0, 2.0, 4.0, 0.0]]
     assert flagged.tolist() == [[False, True, True, False], [False, False, False, True]]
+
+
+def test_a_one_day_signal_has_no_derivative_channel():
+    w = traceset_from_positions([3.0])
+    assert w.channels == ("x",) and w["x"].values.tolist() == [3.0]
+    assert list(position_channels([[3.0], [-1.0]])) == ["x"]
+    assert list(position_channels([3.0, 4.0])) == ["x", "d1(x)"]
+    with pytest.raises(DatasetError, match="need at least two positions for a derivative"):
+        derivative_values([3.0])
 
 
 def test_to_traceset_grids():

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from stlrank import Trace, TraceError, TraceSet
@@ -60,13 +59,3 @@ def test_traceset_rejects_duplicate_channels():
     with pytest.raises(TraceError):
         TraceSet([Trace("x", [0], [1.0]), Trace("x", [0], [2.0])])
 
-
-def test_common_times_intersection():
-    # The days every given channel samples: the shortest channel's grid.
-    w = TraceSet([Trace("x", range(5), np.zeros(5)), Trace("y", range(4), np.zeros(4))])
-    assert list(w.common_times()) == [0, 1, 2, 3]
-    assert list(w.common_times([])) == [0, 1, 2, 3]
-    assert list(w.common_times(["x"])) == [0, 1, 2, 3, 4]
-    assert list(w.common_times(iter(["y", "x"]))) == [0, 1, 2, 3]
-    with pytest.raises(TraceError):
-        w.common_times(["z"])
