@@ -47,7 +47,7 @@ from .core.formula import (
     operator_count,
 )
 from .core.semantics import _checked, _per_time, eval_predicate
-from .ingest import COUNTERS, Dataset, position_channels
+from .ingest import COUNTERS, OVERALL, Dataset, position_channels
 from .parser import _fmt_num, print_formula
 from .props import PropertySpec
 
@@ -73,9 +73,6 @@ __all__ = [
     "rates_plot_data",
     "satisfaction_rates",
 ]
-
-OVERALL = "(all)"
-
 
 def _render_columns(headers: Sequence[str], cells: Sequence[Sequence[str]], left: int) -> str:
     """Aligned text table: the first `left` columns flush left, the rest
@@ -143,8 +140,8 @@ class RateTable:
         raise KeyError((category, property_name))
 
     def overall(self, property_name: str) -> float:
-        """The rollup's rate: its rows follow any category named OVERALL."""
-        return RateTable(reversed(self.rows)).rate(OVERALL, property_name)
+        """The rollup's rate, from the rows of category OVERALL."""
+        return self.rate(OVERALL, property_name)
 
     def to_csv_text(self) -> str:
         return _csv_text(self.HEADERS, _cells(self.rows, self.HEADERS, 6))
@@ -578,17 +575,13 @@ def cluster_kmeans(
 
 def rates_plot_data(table: RateTable) -> str:
     """Gnuplot-ready satisfaction rates: one row per category, one column
-    per property, in first-seen order; a category named OVERALL and the
-    rollup get a line each (the n-th row of a pair goes to line n)."""
-    lines_by_key: dict[tuple[str, int], dict[str, float]] = {}
+    per property, in first-seen order."""
+    lines_by_category: dict[str, dict[str, float]] = {}
     for row in table.rows:
-        n = 0
-        while row.property in lines_by_key.setdefault((row.category, n), {}):
-            n += 1
-        lines_by_key[row.category, n][row.property] = row.rate
+        lines_by_category.setdefault(row.category, {})[row.property] = row.rate
     properties = list(dict.fromkeys(row.property for row in table.rows))
     lines = ["# category " + " ".join(properties)]
-    for (cat, _), rates in lines_by_key.items():
+    for cat, rates in lines_by_category.items():
         vals = ["NA" if math.isnan(r := rates[prop]) else f"{r:.6f}" for prop in properties]
         lines.append(" ".join([_plot_field(cat)] + vals))
     return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ import sys
 
 from . import __version__
 from .analytics import (
+    _csv_text,
     centroids_plot_data,
     cluster_kmeans,
     expand_propositional,
@@ -41,11 +42,19 @@ from .ingest import (
     write_labels,
 )
 from .parser import ParseError, parse_formula, print_formula
-from .props import PROPERTY_NAMES, PropertyParams, build, default_library
+from .props import PROPERTY_NAMES, build, default_library
 
 __all__ = ["main", "entry"]
 
-_PARAM_FIELDS = tuple(PropertyParams.__dataclass_fields__)
+# One flag per `PropertyParams` field, `--w` to `--eq-tolerance`.
+_PARAM_HELP = {
+    "w": "window length in days",
+    "epsilon": "flatness threshold",
+    "d": "jump threshold",
+    "s": "reach trigger position",
+    "r": "reach target position",
+    "eq_tolerance": "reach equality tolerance",
+}
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -58,19 +67,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_param_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="property parameter override, repeatable"
-        f" (names: {', '.join(_PARAM_FIELDS)})",
-    )
-    p.add_argument("--w", type=float, help="window length in days")
-    p.add_argument("--epsilon", type=float, help="flatness threshold")
-    p.add_argument("--d", type=float, help="jump threshold")
-    p.add_argument("--s", type=float, help="reach trigger position")
-    p.add_argument("--r", type=float, help="reach target position")
+    for name, text in _PARAM_HELP.items():
+        p.add_argument("--" + name.replace("_", "-"), type=float, help=text)
 
 
 def _add_formula_args(p: argparse.ArgumentParser) -> None:
@@ -85,22 +83,7 @@ def _add_formula_args(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for item in args.param:
-        name, sep, value = item.partition("=")
-        if not sep or name not in _PARAM_FIELDS:
-            raise ValueError(
-                f"bad --param {item!r}; expected NAME=VALUE with one of {_PARAM_FIELDS}"
-            )
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise ValueError(f"bad --param {item!r}: {value!r} is not a number") from None
-    for name in ("w", "epsilon", "d", "s", "r"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return overrides
+    return {name: value for name in _PARAM_HELP if (value := getattr(args, name)) is not None}
 
 
 def _resolve_formula(args: argparse.Namespace):
@@ -234,13 +217,9 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
     print(f"distortion: {result.distortion_history[-1]:.4f}")
     print(f"centroids satisfying ditch or spike: {int((ditch | spike).sum())}/{args.k}")
     if args.output:
-        days = result.centroids.shape[1]
-        lines = [",".join(["centroid"] + [f"pos_{i}" for i in range(days)])]
-        for c in range(args.k):
-            lines.append(
-                ",".join([str(c)] + [f"{v:.6f}" for v in result.centroids[c]])
-            )
-        _write_text(args.output, "\n".join(lines) + "\n")
+        headers = ["centroid"] + [f"pos_{i}" for i in range(result.centroids.shape[1])]
+        cells = [[str(c)] + [f"{v:.6f}" for v in row] for c, row in enumerate(result.centroids)]
+        _write_text(args.output, _csv_text(headers, cells))
     if args.emit_plot_data:
         _write_text(args.emit_plot_data, centroids_plot_data(result))
     return 0

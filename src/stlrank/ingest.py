@@ -3,7 +3,8 @@
 A record is one product's daily ranking positions over a fixed grid of D
 days, 0..D-1 (14 from `generate`), plus three engagement counters. Positions
 are reals >= 1, with -1 marking a day the product went unranked ("missing").
-The impressions column is what some pipelines call searches.
+The impressions column is what some pipelines call searches. The category
+"(all)" is reserved: it labels the rollup rows of a rates table.
 
 CSV layout (header required; its pos_ columns give D >= 1):
 
@@ -97,6 +98,9 @@ DAYS_DEFAULT = 14
 
 MISSING = -1.0
 
+# The category label of the rollup rows in rates tables; no record may use it.
+OVERALL = "(all)"
+
 PATTERNS = ("flat", "cold", "warm", "spiky", "missing", "random")
 
 _METRIC_MEANS: Mapping[str, tuple[float, float, float]] = {
@@ -131,6 +135,8 @@ def _check_record(product_id, category, positions, counters) -> tuple[float, ...
         raise SchemaError("empty product_id")
     if not category:
         raise SchemaError("empty category")
+    if category == OVERALL:
+        raise SchemaError(f"category {OVERALL!r} is reserved for the rollup rows")
     positions = tuple(map(float, positions))
     if not positions:
         raise SchemaError(f"record {product_id!r}: no positions")
@@ -364,7 +370,8 @@ def _bulk_columns(lines: Iterable[str], split: Callable) -> tuple | None:
     positions, counters = table["positions"], table["counters"]
     valid = ((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING)
     if not (days > 0 and np.all(valid) and np.all(counters >= 0) and all(ids)
-            and "" not in category_index and len(set(ids)) == len(ids)):
+            and "" not in category_index and OVERALL not in category_index
+            and len(set(ids)) == len(ids)):
         return None
     return ids, list(category_index), np.frombuffer(codes, dtype=np.int64), positions, counters
 

@@ -3,8 +3,8 @@
 Nine named properties over a daily ranking-position channel `x` (smaller is
 better, -1 marks a missing day) and its one-day difference channel `d1(x)`.
 `_SHAPES` gives each one as formula text in the surface syntax of
-`stlrank.parser`, with its parameters as `{field}` placeholders, and `build`
-fills them in and parses the result.
+`stlrank.parser`, with its parameters as `{field}` placeholders, and their
+defaults; `build` fills them in and parses the result.
 
 cold_start reads "only gains positions early on" because a position gain is
 a decrease of the position number; ditch is a one-day loss of more than d
@@ -46,31 +46,19 @@ __all__ = [
 MISS_TOLERANCE = 1e-9
 REACH_TOLERANCE = 0.5
 
-_SHAPES: Mapping[str, str] = {
-    "flat_start": "G[0,{w}](abs(d1(x)) < {epsilon})",
-    "cold_start": "G[0,{w}](d1(x) <= 0) & F[0,{w}](d1(x) < 0)",
-    "warm_start": "G[0,{w}](d1(x) >= 0) & F[0,{w}](d1(x) > 0)",
-    "steady_state": "F[0,{w}](G(abs(d1(x)) < {epsilon}))",
-    "reach": "G(x < {s} -> F(x == {r}))",
-    "ditch": "F(d1(x) > {d} & F[0,{w}](d1(x) < -{d}))",
-    "spike": "F(d1(x) < -{d} & F[0,{w}](d1(x) > {d}))",
-    "no_init_miss": "!(G[0,{w}](x == -1))",
-    "no_long_miss": "G(x == -1 -> F[0,{w}](!(x == -1)))",
+_SHAPES: Mapping[str, tuple[str, Mapping[str, float]]] = {
+    "flat_start": ("G[0,{w}](abs(d1(x)) < {epsilon})", {"w": 3, "epsilon": 1.0}),
+    "cold_start": ("G[0,{w}](d1(x) <= 0) & F[0,{w}](d1(x) < 0)", {"w": 3}),
+    "warm_start": ("G[0,{w}](d1(x) >= 0) & F[0,{w}](d1(x) > 0)", {"w": 3}),
+    "steady_state": ("F[0,{w}](G(abs(d1(x)) < {epsilon}))", {"w": 3, "epsilon": 1.0}),
+    "reach": ("G(x < {s} -> F(x == {r}))", {"s": 10.0, "r": 1.0}),
+    "ditch": ("F(d1(x) > {d} & F[0,{w}](d1(x) < -{d}))", {"d": 10.0, "w": 2}),
+    "spike": ("F(d1(x) < -{d} & F[0,{w}](d1(x) > {d}))", {"d": 10.0, "w": 2}),
+    "no_init_miss": ("!(G[0,{w}](x == -1))", {"w": 3}),
+    "no_long_miss": ("G(x == -1 -> F[0,{w}](!(x == -1)))", {"w": 3}),
 }
 
 PROPERTY_NAMES = tuple(_SHAPES)
-
-_DEFAULTS: Mapping[str, dict] = {
-    "flat_start": {"w": 3, "epsilon": 1.0},
-    "cold_start": {"w": 3},
-    "warm_start": {"w": 3},
-    "steady_state": {"w": 3, "epsilon": 1.0},
-    "reach": {"s": 10.0, "r": 1.0},
-    "ditch": {"d": 10.0, "w": 2},
-    "spike": {"d": 10.0, "w": 2},
-    "no_init_miss": {"w": 3},
-    "no_long_miss": {"w": 3},
-}
 
 _INTEGER_W = {"flat_start", "cold_start", "warm_start", "no_init_miss", "no_long_miss"}
 
@@ -127,7 +115,7 @@ def _window(name: str, params: PropertyParams) -> float:
 def _build_formula(name: str, params: PropertyParams) -> Formula:
     """Check the fields of `name`'s shape in the order they appear, then
     parse the shape with their values written in."""
-    shape = _SHAPES[name]
+    shape = _SHAPES[name][0]
     fields = dict.fromkeys(re.findall(r"\{(\w+)\}", shape))
     values = {
         fld: _fmt_num(_window(name, params) if fld == "w" else _require(name, params, fld))
@@ -148,12 +136,12 @@ def build(name: str, **overrides) -> PropertySpec:
     epsilon=..., d=..., s=..., r=..., eq_tolerance=...). Unknown names or
     invalid parameter values raise PropertyError naming the field.
     """
-    if name not in _DEFAULTS:
+    if name not in _SHAPES:
         raise PropertyError(f"unknown property {name!r}; expected one of {PROPERTY_NAMES}")
     for key in overrides:
         if key not in PropertyParams.__dataclass_fields__:
             raise PropertyError(f"{name}: unknown parameter {key!r}")
-    params = PropertyParams(**{**_DEFAULTS[name], **overrides})
+    params = PropertyParams(**{**_SHAPES[name][1], **overrides})
     return PropertySpec(name=name, params=params, formula=_build_formula(name, params))
 
 

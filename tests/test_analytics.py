@@ -31,7 +31,7 @@ from stlrank.analytics import (
     centroids_plot_data,
     rates_plot_data,
 )
-from stlrank.ingest import derivative_values
+from stlrank.ingest import SchemaError, derivative_values
 
 MIX = {"cold": 0.3, "flat": 0.5, "spiky": 0.2}
 
@@ -297,18 +297,19 @@ def test_rates_plot_data_quotes_odd_category_names():
     ]
 
 
-def test_a_category_named_like_the_rollup_keeps_both():
-    """The rollup rows and a category named OVERALL stay apart: `overall`
-    reads the rollup, and the plot data has a line for each."""
+def test_the_rollup_label_is_reserved():
+    """No record may take the rollup rows' label, so the OVERALL rows of a
+    rates table and its plot data are the rollup's alone."""
     flat = (5.0,) * 14
     rising = (5.0, 9.0, 20.0) + (30.0,) * 11
-    ds = Dataset([ProductRecord("p1", OVERALL, flat, 1, 1, 1),
+    with pytest.raises(SchemaError, match=r"^category '\(all\)' is reserved for the rollup rows$"):
+        ProductRecord("p1", OVERALL, flat, 1, 1, 1)
+    ds = Dataset([ProductRecord("p1", "c0", flat, 1, 1, 1),
                   ProductRecord("p2", "c1", rising, 1, 1, 1)])
     table = satisfaction_rates(ds, [build("flat_start")])
     assert table.overall("flat_start") == 0.5
-    assert table.rate(OVERALL, "flat_start") == 1.0
     assert rates_plot_data(table) == (
-        "# category flat_start\n(all) 1.000000\nc1 0.000000\n(all) 0.500000\n")
+        "# category flat_start\nc0 1.000000\nc1 0.000000\n(all) 0.500000\n")
 
 
 def test_centroid_averaging_flattens_excursions():

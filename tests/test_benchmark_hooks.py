@@ -7,6 +7,8 @@ public API below; a rename that every other test accepts would still break
 these tests read its tables rather than run it.
 """
 
+import argparse
+import ast
 import importlib
 import inspect
 from pathlib import Path
@@ -39,3 +41,18 @@ def test_the_worker_calls_resolve():
         assert callable(getattr(stlrank, name)), name
     for name in ("main", "build_parser"):
         assert callable(getattr(stlrank.cli, name)), name
+
+
+def test_the_workload_flags_are_cli_options():
+    """Every string constant of the workloads that starts with "-" is a
+    flag the CLI still accepts, so removing an option the benchmark passes
+    fails here rather than only in a benchmark run."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    flags = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.startswith("-")}
+    parser = stlrank.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for p in sub.choices.values() for a in p._actions for s in a.option_strings}
+    assert len(flags) >= 14
+    assert flags <= options, sorted(flags - options)

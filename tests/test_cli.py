@@ -13,6 +13,7 @@ import pytest
 from stlrank import (
     Dataset,
     ProductRecord,
+    PropertyParams,
     Trace,
     TraceSet,
     build,
@@ -25,7 +26,7 @@ from stlrank import (
     write_csv,
 )
 from stlrank.ingest import write_dataset
-from stlrank.cli import build_parser, main
+from stlrank.cli import _PARAM_HELP, build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -176,6 +177,7 @@ MALFORMED_ROWS = [
     ("csv", {"clicks": "-1"}, "row 3: record 'p2': clicks must be a non-negative integer, got -1"),
     ("csv", {"product_id": ""}, "row 3: empty product_id"),
     ("csv", {"category": ""}, "row 3: empty category"),
+    ("csv", {"category": "(all)"}, "row 3: category '(all)' is reserved for the rollup rows"),
     ("csv", {"product_id": "p1"}, "row 3: duplicate product_id 'p1'"),
     ("csv", {"impressions": "9" * 401},
      f"row 3: record 'p2': impressions must be below 2**63, got {'9' * 401}"),
@@ -198,6 +200,7 @@ MALFORMED_ROWS = [
     ("jsonl", {"product_id": 7}, "row 2: column 'product_id': not a string"),
     ("jsonl", {"category": ["a"]}, "row 2: column 'category': not a string"),
     ("jsonl", {"product_id": ""}, "row 2: empty product_id"),
+    ("jsonl", {"category": "(all)"}, "row 2: category '(all)' is reserved for the rollup rows"),
     ("jsonl", {"product_id": "p1"}, "row 2: duplicate product_id 'p1'"),
     ("jsonl", {"clicks": 2**63}, f"row 2: record 'p2': clicks must be below 2**63, got {2**63}"),
 ]
@@ -355,10 +358,34 @@ def test_rates_csv_and_plot_data(dataset, tmp_path, capsys):
 
 
 def test_rates_param_override(dataset, capsys):
-    code = main(["rates", "-i", str(dataset), "--param", "w=5", "--d", "11"])
+    code = main(["rates", "-i", str(dataset), "--w", "5", "--d", "11"])
     assert code == 0
-    code = main(["rates", "-i", str(dataset), "--param", "bogus=1"])
-    assert code == 2
+    capsys.readouterr()
+    assert main(["rates", "-i", str(dataset), "--param", "w=5"]) == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --param w=5\n")
+
+
+def test_the_param_flags_are_the_property_params_fields():
+    assert list(_PARAM_HELP) == list(PropertyParams.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("argv, formula, satisfied", [
+    (["--property", "reach"], "G(x < 10 -> F(x == 1))", 1),
+    (["--property", "reach", "--eq-tolerance", "0.1"], "G(x < 10 -> F(x == 1))", 0),
+    (["--property", "reach", "--eq-tolerance", "0.1", "--r", "1.3"],
+     "G(x < 10 -> F(x == 1.3))", 1),
+    (["--property", "reach", "--eq-tolerance", "0.1", "--s", "1"], "G(x < 1 -> F(x == 1))", 1),
+    (["--property", "flat_start"], "G[0,3](abs(d1(x)) < 1)", 0),
+    (["--property", "flat_start", "--epsilon", "7", "--w", "1"], "G[0,1](abs(d1(x)) < 7)", 1),
+    (["--property", "spike", "--d", "3"], "F(d1(x) < -3 & F[0,2](d1(x) > 3))", 0),
+], ids=["reach", "eq-tolerance", "r", "s", "flat_start", "epsilon-w", "d"])
+def test_each_param_flag_reaches_the_property(argv, formula, satisfied, tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("product_id,category,pos_0,pos_1,pos_2,pos_3,impressions,clicks,purchases\n"
+                    "p1,c0,12,8,1.3,1.3,1,0,0\n")
+    assert main(["check", "-i", str(path), *argv]) == 0
+    assert capsys.readouterr().out == (
+        f"formula: {formula}\nsatisfied {satisfied}/1 ({satisfied:.4f})\n")
 
 
 def test_metrics_table(dataset, capsys):
@@ -430,14 +457,13 @@ def test_expand_query_string(capsys):
     assert main(["expand", "--property", "flat_start", "--horizon", "5", "--query"]) == 2
 
 
-@pytest.mark.parametrize("window", [["--w", "2.5"], ["--param", "w=1.5"]])
+@pytest.mark.parametrize("window", [["--w", "2.5"], ["--w", "0.5"]])
 def test_expand_query_with_a_fractional_window_is_a_usage_error(window, capsys):
     argv = ["expand", "--property", "ditch", "--query", "--horizon", "5", *window]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    w = window[1].removeprefix("w=")
-    assert captured.err == f"error: --query requires a whole-day window w, got {w}\n"
+    assert captured.err == f"error: --query requires a whole-day window w, got {window[1]}\n"
 
 
 def test_days_is_no_longer_an_option(dataset, capsys):
@@ -554,7 +580,7 @@ def test_cli_option_strings_are_pinned():
                for name, p in sub.choices.items()}
     surface[None] = sorted(s for a in parser._actions for s in a.option_strings)
     dataset = ["--complete-only", "--input", "-i"]
-    params = ["--d", "--epsilon", "--param", "--r", "--s", "--w"]
+    params = ["--d", "--epsilon", "--eq-tolerance", "--r", "--s", "--w"]
     formula = ["--formula", "--formula-file", "--property"]
     common = ["--help", "-h"]
     assert surface == {

@@ -556,6 +556,7 @@ def write_mutated_csv(path, days, row, edits, layout):
 @example(days=14, row=1, edits=[("replace", COUNTER, "-1")], layout="plain")
 @example(days=14, row=1, edits=[("replace", 0, "")], layout="plain")
 @example(days=14, row=1, edits=[("replace", 1, "")], layout="plain")
+@example(days=14, row=1, edits=[("replace", 1, "(all)")], layout="plain")
 @example(days=14, row=1, edits=[("replace", 0, "p000000")], layout="plain")
 @example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="quoted")
 @example(days=14, row=0, edits=[("replace", 0, 'p"1')], layout="plain")
@@ -697,6 +698,7 @@ def write_mutated_jsonl(path, days, row, edits, layout):
 @example(days=14, row=1, edits=[("value", PRODUCT_ID, '"p\u00e9"')], layout="plain")
 @example(days=14, row=1, edits=[("value", CATEGORY, '"p\u2028"')], layout="plain")
 @example(days=14, row=1, edits=[("value", CATEGORY, '"p\x1c"')], layout="plain")
+@example(days=14, row=1, edits=[("value", CATEGORY, '"(all)"')], layout="plain")
 @example(days=14, row=0, edits=[("value", CLICKS, " 5")], layout="plain")
 @example(days=14, row=0, edits=[("swap", CLICKS, "")], layout="plain")
 @example(days=14, row=0, edits=[("repeat", PURCHASES, "")], layout="plain")

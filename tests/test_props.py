@@ -58,7 +58,7 @@ def test_readme_library_table_shows_each_shape():
     rows = [line.split("|") for line in table.split("\n\n", 2)[1].splitlines()[2:]]
     shown = {cells[1].strip(" `"): cells[3].strip(" `") for cells in rows}
     fields = {"w": "w", "epsilon": "eps", "d": "d", "s": "s", "r": "r"}
-    assert shown == {name: shape.format(**fields) for name, shape in _SHAPES.items()}
+    assert shown == {name: shape.format(**fields) for name, (shape, _) in _SHAPES.items()}
 
 
 DAY_COUNT_WINDOWS = {"flat_start", "cold_start", "warm_start", "no_init_miss", "no_long_miss"}
