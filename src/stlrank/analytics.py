@@ -47,7 +47,7 @@ from .core.formula import (
     operator_count,
 )
 from .core.semantics import _checked, _per_time, eval_predicate
-from .ingest import COUNTERS, OVERALL, Dataset, position_channels
+from .ingest import COUNTERS, MISSING, OVERALL, Dataset, position_channels
 from .parser import _fmt_num, print_formula
 from .props import PropertySpec
 
@@ -220,11 +220,8 @@ class MetricTable:
         return _render_columns(self.HEADERS, _cells(self.rows, self.HEADERS, 2), 3)
 
 
-def metric_distribution(
-    ds: Dataset, specs: Sequence[PropertySpec], jobs: int = 1
-) -> MetricTable:
-    """Mean engagement counters among satisfying and violating records;
-    `jobs` is accepted and ignored, as in `satisfaction_rates`."""
+def metric_distribution(ds: Dataset, specs: Sequence[PropertySpec]) -> MetricTable:
+    """Mean engagement counters among satisfying and violating records."""
     verdicts = verdict_matrix(ds.positions, [spec.formula for spec in specs])
     metric_values = dict(zip(COUNTERS, ds.counters.T.astype(np.float64)))
     rows: list[MetricRow] = []
@@ -474,6 +471,8 @@ def expand_query(name: str, horizon: int, w: int, d: float = 10.0) -> str:
         raise ExpansionError("w must be at least 1")
     if horizon < w:
         raise ExpansionError("horizon must be at least w")
+    if (horizon - w + 1) * (w + 2) > MAX_GROUNDED_NODES:
+        raise ExpansionError(f"query exceeds {MAX_GROUNDED_NODES} comparisons")
     terms = []
     for i in range(0, horizon - w + 1):
         rebound = " | ".join(
@@ -502,7 +501,7 @@ def _impute_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     Returns (matrix, included) where `included` marks rows that carry at
     least one real sample; fully missing rows get no cluster.
     """
-    missing = ds.positions == -1.0
+    missing = ds.positions == MISSING
     included = ~missing.all(axis=1)
     matrix = ds.positions.copy()
     for i in np.flatnonzero(missing.any(axis=1) & included):
@@ -545,9 +544,7 @@ def cluster_kmeans(
 
     assignments = np.full(len(X), -1, dtype=np.int64)
     history: list[float] = []
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(len(X)), new_assign].sum()))
@@ -564,7 +561,7 @@ def cluster_kmeans(
     return KMeansResult(
         centroids=centroids,
         assignments=full,
-        iterations=iterations,
+        iterations=len(history),
         distortion_history=tuple(history),
     )
 

@@ -229,11 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stlrank",
         description="Temporal-logic monitoring for product ranking signals.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"stlrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="evaluate one formula over a dataset")
+    p = sub.add_parser("check", help="evaluate one formula over a dataset", allow_abbrev=False)
     _add_dataset_args(p)
     _add_formula_args(p)
     _add_param_args(p)
@@ -245,20 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("rates", help="property satisfaction rates per category")
+    p = sub.add_parser(
+        "rates", help="property satisfaction rates per category", allow_abbrev=False
+    )
     _add_dataset_args(p)
     _add_param_args(p)
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
     p.add_argument("--emit-plot-data", metavar="PATH", help="write gnuplot data file")
     p.set_defaults(func=_cmd_table, table=satisfaction_rates)
 
-    p = sub.add_parser("metrics", help="engagement means among satisfying records")
+    p = sub.add_parser(
+        "metrics", help="engagement means among satisfying records", allow_abbrev=False
+    )
     _add_dataset_args(p)
     _add_param_args(p)
     p.add_argument("--output", "-o", help="write CSV here instead of printing")
     p.set_defaults(func=_cmd_table, table=metric_distribution)
 
-    p = sub.add_parser("generate", help="write a synthetic dataset")
+    p = sub.add_parser("generate", help="write a synthetic dataset", allow_abbrev=False)
     p.add_argument("--output", "-o", required=True, help="destination file (csv or jsonl)")
     p.add_argument("--n", type=int, required=True, help="record count")
     p.add_argument(
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("expand", help="ground a formula over a day horizon")
+    p = sub.add_parser("expand", help="ground a formula over a day horizon", allow_abbrev=False)
     _add_formula_args(p)
     _add_param_args(p)
     p.add_argument("--horizon", type=int, required=True, help="last position day")
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", help="write the expansion text here")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("kmeans", help="cluster position rows")
+    p = sub.add_parser("kmeans", help="cluster position rows", allow_abbrev=False)
     _add_dataset_args(p)
     p.add_argument("--k", type=int, required=True, help="cluster count")
     p.add_argument("--seed", type=int, default=0)

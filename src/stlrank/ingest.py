@@ -101,19 +101,6 @@ MISSING = -1.0
 # The category label of the rollup rows in rates tables; no record may use it.
 OVERALL = "(all)"
 
-PATTERNS = ("flat", "cold", "warm", "spiky", "missing", "random")
-
-_METRIC_MEANS: Mapping[str, tuple[float, float, float]] = {
-    # (impressions, clicks, purchases)
-    "flat": (300.0, 30.0, 90.0),
-    "cold": (250.0, 10.0, 35.0),
-    "warm": (400.0, 5.0, 5.0),
-    "spiky": (300.0, 5.0, 15.0),
-    "missing": (220.0, 8.0, 20.0),
-    "random": (280.0, 12.0, 25.0),
-}
-
-
 class DatasetError(Exception):
     """Base class for dataset failures."""
 
@@ -137,7 +124,10 @@ def _check_record(product_id, category, positions, counters) -> tuple[float, ...
         raise SchemaError("empty category")
     if category == OVERALL:
         raise SchemaError(f"category {OVERALL!r} is reserved for the rollup rows")
-    positions = tuple(map(float, positions))
+    try:
+        positions = tuple(map(float, positions))
+    except (TypeError, ValueError):
+        raise SchemaError(f"record {product_id!r}: positions must be a list of numbers") from None
     if not positions:
         raise SchemaError(f"record {product_id!r}: no positions")
     for i, p in enumerate(positions):
@@ -666,14 +656,16 @@ def _positions_random(rng: np.random.Generator) -> list[float]:
     return [round(p, 3) for p in pos]
 
 
-_PATTERN_BUILDERS = {
-    "flat": _positions_flat,
-    "cold": lambda rng: _positions_trend(rng, 30.0, 95.0, -1.0),
-    "warm": lambda rng: _positions_trend(rng, 1.0, 60.0, 1.0),
-    "spiky": _positions_spiky,
-    "missing": _positions_missing,
-    "random": _positions_random,
+# Each pattern's positions builder and its mean (impressions, clicks, purchases).
+_PATTERNS = {
+    "flat": (_positions_flat, (300.0, 30.0, 90.0)),
+    "cold": (lambda rng: _positions_trend(rng, 30.0, 95.0, -1.0), (250.0, 10.0, 35.0)),
+    "warm": (lambda rng: _positions_trend(rng, 1.0, 60.0, 1.0), (400.0, 5.0, 5.0)),
+    "spiky": (_positions_spiky, (300.0, 5.0, 15.0)),
+    "missing": (_positions_missing, (220.0, 8.0, 20.0)),
+    "random": (_positions_random, (280.0, 12.0, 25.0)),
 }
+PATTERNS = tuple(_PATTERNS)
 
 
 def generate(config: GeneratorConfig) -> Dataset:
@@ -696,8 +688,7 @@ def generate(config: GeneratorConfig) -> Dataset:
         counts = _exact_counts(mix_names, mix_shares, cat_n)
         category = f"c{cat_i}"
         for pattern, count in zip(mix_names, counts):
-            builder = _PATTERN_BUILDERS[pattern]
-            mean_impr, mean_clicks, mean_purch = _METRIC_MEANS[pattern]
+            builder, (mean_impr, mean_clicks, mean_purch) = _PATTERNS[pattern]
             for _ in range(count):
                 positions = builder(rng)
                 if config.noise_sigma > 0:

@@ -51,6 +51,7 @@ from .core.formula import (
     Add,
     And,
     Atom,
+    COMPARISONS,
     Const,
     Eventually,
     FALSE,
@@ -129,6 +130,15 @@ def _tokenize(src: str) -> list[_Token]:
     return toks
 
 
+_OR = {"|": Or}
+_AND = {"&": And}
+_SUM = {"+": Add, "-": Sub}
+_PRODUCT = {"*": Mul}
+# `=` is read as `==`; an error lists only the canonical spellings.
+_COMPARISON_TEXTS = {*COMPARISONS, "="}
+_EXPECTED_COMPARISON = tuple(map(repr, COMPARISONS))
+
+
 class _Parser:
     def __init__(self, src: str, eq_tolerance: float):
         self.src = src
@@ -147,19 +157,19 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_op(self, *texts: str) -> bool:
+    def at_op(self, text: str) -> bool:
         tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
+        return tok.kind == "op" and tok.text == text
 
     def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
+        if self.at_op(text):
             return self.advance()
-        raise ParseError(f"unexpected {self._describe(tok)}", tok.span, (repr(text),))
+        raise self.unexpected(self.peek(), repr(text))
 
     @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "eof" else f"token {tok.text!r}"
+    def unexpected(tok: _Token, *expected: str) -> ParseError:
+        what = "end of input" if tok.kind == "eof" else f"token {tok.text!r}"
+        return ParseError(f"unexpected {what}", tok.span, expected)
 
     def number(self) -> float:
         """Consume a number token. A literal past the float range is an
@@ -170,13 +180,24 @@ class _Parser:
             raise ParseError("number out of range", tok.span)
         return value
 
-    def open_bracket(self) -> None:
-        """Consume a "("; the caller closes it with `self.depth -= 1` after
-        the matching ")"."""
+    def bracketed(self, inner):
+        """Read "(" inner ")", with brackets nested at most MAX_DEPTH deep."""
         tok = self.expect_op("(")
         if self.depth == MAX_DEPTH:
             raise ParseError(f"brackets nest deeper than {MAX_DEPTH} levels", tok.span)
         self.depth += 1
+        result = inner()
+        self.expect_op(")")
+        self.depth -= 1
+        return result
+
+    def _left_chain(self, operand, ops):
+        """Read `operand (op operand)*`, folded left by the node types in `ops`."""
+        e = operand()
+        while (tok := self.peek()).kind == "op" and tok.text in ops:
+            self.advance()
+            e = ops[tok.text](e, operand())
+        return e
 
     # -- grammar ---------------------------------------------------------
 
@@ -184,7 +205,7 @@ class _Parser:
         f = self.implies()
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.span)
+            raise self.unexpected(tok)
         if _height(f) > MAX_DEPTH:
             raise ParseError(
                 f"formula nests deeper than {MAX_DEPTH} levels", SourceSpan(0, len(self.src))
@@ -202,18 +223,10 @@ class _Parser:
         return f
 
     def or_(self) -> Formula:
-        f = self.and_()
-        while self.at_op("|"):
-            self.advance()
-            f = Or(f, self.and_())
-        return f
+        return self._left_chain(self.and_, _OR)
 
     def and_(self) -> Formula:
-        f = self.unary()
-        while self.at_op("&"):
-            self.advance()
-            f = And(f, self.unary())
-        return f
+        return self._left_chain(self.unary, _AND)
 
     def unary(self) -> Formula:
         prefixes = []
@@ -257,11 +270,7 @@ class _Parser:
             # keeping whichever error got further into the input.
             mark = self.pos, self.depth
             try:
-                self.open_bracket()
-                inner = self.implies()
-                self.expect_op(")")
-                self.depth -= 1
-                return inner
+                return self.bracketed(self.implies)
             except ParseError as formula_err:
                 self.pos, self.depth = mark
                 try:
@@ -273,33 +282,20 @@ class _Parser:
     def comparison(self) -> Formula:
         lhs = self.expr()
         tok = self.peek()
-        if tok.kind == "op" and tok.text in ("<", "<=", ">", ">=", "==", "!=", "="):
-            self.advance()
-            op = "==" if tok.text == "=" else tok.text
-            rhs = self.expr()
-            if op in ("==", "!="):
-                return Atom(Predicate(lhs, op, rhs, self.eq_tolerance))
-            return Atom(Predicate(lhs, op, rhs))
-        raise ParseError(
-            f"unexpected {self._describe(tok)}",
-            tok.span,
-            ("'<'", "'<='", "'>'", "'>='", "'=='", "'!='"),
-        )
+        if tok.kind != "op" or tok.text not in _COMPARISON_TEXTS:
+            raise self.unexpected(tok, *_EXPECTED_COMPARISON)
+        self.advance()
+        op = "==" if tok.text == "=" else tok.text
+        rhs = self.expr()
+        if op in ("==", "!="):
+            return Atom(Predicate(lhs, op, rhs, self.eq_tolerance))
+        return Atom(Predicate(lhs, op, rhs))
 
     def expr(self):
-        e = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+        return self._left_chain(self.term, _SUM)
 
     def term(self):
-        e = self.factor()
-        while self.at_op("*"):
-            self.advance()
-            e = Mul(e, self.factor())
-        return e
+        return self._left_chain(self.factor, _PRODUCT)
 
     def factor(self):
         signs = 0
@@ -316,29 +312,19 @@ class _Parser:
     def operand(self):
         tok = self.peek()
         if self.at_op("("):
-            self.open_bracket()
-            e = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return e
+            return self.bracketed(self.expr)
         if tok.kind == "num":
             return Const(self.number())
         if tok.kind == "ident":
             if tok.text == "abs":
                 self.advance()
-                self.open_bracket()
-                e = self.expr()
-                self.expect_op(")")
-                self.depth -= 1
-                return Abs(e)
+                return Abs(self.bracketed(self.expr))
             if tok.text == "d1":
                 self.advance()
                 self.expect_op("(")
                 inner = self.peek()
                 if inner.kind != "ident" or inner.text in _RESERVED:
-                    raise ParseError(
-                        f"unexpected {self._describe(inner)}", inner.span, ("channel name",)
-                    )
+                    raise self.unexpected(inner, "channel name")
                 self.advance()
                 self.expect_op(")")
                 return Var(f"d1({inner.text})")
@@ -348,9 +334,7 @@ class _Parser:
                 )
             self.advance()
             return Var(tok.text)
-        raise ParseError(
-            f"unexpected {self._describe(tok)}", tok.span, ("number", "channel name", "'('")
-        )
+        raise self.unexpected(tok, "number", "channel name", "'('")
 
     def interval_opt(self) -> Interval:
         if not self.at_op("["):
@@ -358,7 +342,7 @@ class _Parser:
         open_tok = self.advance()
         lo_tok = self.peek()
         if lo_tok.kind != "num":
-            raise ParseError(f"unexpected {self._describe(lo_tok)}", lo_tok.span, ("number",))
+            raise self.unexpected(lo_tok, "number")
         lo = self.number()
         self.expect_op(",")
         hi_tok = self.peek()
@@ -368,9 +352,7 @@ class _Parser:
             self.advance()
             hi = math.inf
         else:
-            raise ParseError(
-                f"unexpected {self._describe(hi_tok)}", hi_tok.span, ("number", "'inf'")
-            )
+            raise self.unexpected(hi_tok, "number", "'inf'")
         close_tok = self.expect_op("]")
         if not lo < hi:
             raise ParseError(

@@ -188,6 +188,25 @@ def test_query_spike_mirrors_signs():
     assert "(df.pos_1 > 7.5)" in q
 
 
+def test_query_size_is_bounded():
+    """Past MAX_GROUNDED_NODES comparisons a query fails before building a
+    term; at the bound it is built, and horizon 13 renders as before."""
+    start = time.perf_counter()
+    with pytest.raises(ExpansionError, match=f"query exceeds {MAX_GROUNDED_NODES} comparisons"):
+        expand_query("ditch", 100_000_000, 2)
+    assert time.perf_counter() - start < 1.0
+    # With w = 2, horizon h holds h - 1 terms of 4 comparisons.
+    at_bound = MAX_GROUNDED_NODES // 4 + 1
+    assert expand_query("ditch", at_bound, 2).count("df.pos_") == MAX_GROUNDED_NODES
+    with pytest.raises(ExpansionError, match="query exceeds"):
+        expand_query("ditch", at_bound + 1, 2)
+    terms = (
+        f"((df.pos_{i} > 10) & ({' | '.join(f'(df.pos_{j} < -10)' for j in range(i, i + 3))}))"
+        for i in range(12)
+    )
+    assert expand_query("ditch", 13, 2) == "df[" + " | ".join(terms) + "]"
+
+
 def test_query_rejects_bad_arguments():
     with pytest.raises(ExpansionError):
         expand_query("flat_start", 13, 2)

@@ -596,6 +596,23 @@ def test_cli_option_strings_are_pinned():
     }
 
 
+def test_every_parser_takes_flags_only_in_full():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: p.allow_abbrev for name, p in [(None, parser), *sub.choices.items()]} == {
+        name: False for name in (None, "check", "rates", "metrics", "generate", "expand", "kmeans")
+    }
+
+
+def test_an_abbreviated_flag_is_a_usage_error(dataset, capsys):
+    """`--eps` is not read as `--epsilon`: a prefix is an unknown argument."""
+    capsys.readouterr()
+    assert main(["rates", "-i", str(dataset), "--eps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("stlrank: error: unrecognized arguments: --eps 2\n")
+
+
 # ---------------------------------------------------------------------------
 # End to end against the oracle: the CLI outputs rebuilt here from eval_naive
 # verdicts on trace sets made independently of stlrank.ingest.

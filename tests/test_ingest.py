@@ -59,6 +59,9 @@ def test_record_validation():
         record([1.0] * 14, pid=7)
     with pytest.raises(SchemaError, match="'category': not a string"):
         record([1.0] * 14, category=None)
+    for positions in (["a"], [1.0, None], [None], None, 5.0):
+        with pytest.raises(SchemaError, match="'p': positions must be a list of numbers"):
+            ProductRecord("p", "c", positions, 0, 0, 0)
 
 
 def test_dataset_rejects_duplicate_ids():

@@ -284,3 +284,53 @@ def test_nesting_is_bounded(nest):
         with pytest.raises(ParseError) as err:
             parse_formula(nest(k))
         assert f"deeper than {MAX_DEPTH} levels" in str(err.value)
+
+
+_ANY_OPERAND = ("number", "channel name", "'('")
+_DEEP = MAX_DEPTH + 1
+
+
+@pytest.mark.parametrize("src, text, span, expected", [
+    pytest.param("(x < 1", "unexpected end of input at offset 6 (expected ')')",
+                 (6, 6), ("')'",), id="closing-bracket"),
+    pytest.param("x < 1 )", "unexpected token ')' at offset 6", (6, 7), (), id="trailing-token"),
+    pytest.param("x + 1", "unexpected end of input at offset 5 (expected '<', '<=', '>', '>=', "
+                 "'==', '!=')", (5, 5), ("'<'", "'<='", "'>'", "'>='", "'=='", "'!='"),
+                 id="comparison"),
+    pytest.param("d1(G) < 1", "unexpected token 'G' at offset 3 (expected channel name)",
+                 (3, 4), ("channel name",), id="d1-channel"),
+    pytest.param("x < *", "unexpected token '*' at offset 4 (expected number, channel name, '(')",
+                 (4, 5), _ANY_OPERAND, id="operand"),
+    pytest.param("G[x,1](x < 1)", "unexpected token 'x' at offset 2 (expected number)",
+                 (2, 3), ("number",), id="window-lo"),
+    pytest.param("G[0,](x < 1)", "unexpected token ']' at offset 4 (expected number, 'inf')",
+                 (4, 5), ("number", "'inf'"), id="window-hi"),
+    pytest.param("abs x < 1", "unexpected token 'x' at offset 4 (expected '(')",
+                 (4, 5), ("'('",), id="abs-bracket"),
+    pytest.param("(" * _DEEP + "x < 1" + ")" * _DEEP,
+                 "brackets nest deeper than 100 levels at offset 100", (100, 101), (),
+                 id="depth-formula"),
+    pytest.param("x < " + "(" * _DEEP + "1" + ")" * _DEEP,
+                 "brackets nest deeper than 100 levels at offset 104", (104, 105), (),
+                 id="depth-term"),
+    pytest.param("x < " + "abs(" * _DEEP + "x" + ")" * _DEEP,
+                 "brackets nest deeper than 100 levels at offset 407", (407, 408), (),
+                 id="depth-abs"),
+    pytest.param("x < 1 |", "unexpected end of input at offset 7 (expected number, channel name, "
+                 "'(')", (7, 7), _ANY_OPERAND, id="or-operand"),
+    pytest.param("x < 1 & ", "unexpected end of input at offset 8 (expected number, channel "
+                 "name, '(')", (8, 8), _ANY_OPERAND, id="and-operand"),
+    pytest.param("x + < 1", "unexpected token '<' at offset 4 (expected number, channel name, "
+                 "'(')", (4, 5), _ANY_OPERAND, id="sum-operand"),
+    pytest.param("x * < 1", "unexpected token '<' at offset 4 (expected number, channel name, "
+                 "'(')", (4, 5), _ANY_OPERAND, id="product-operand"),
+])
+def test_each_error_site_keeps_its_text(src, text, span, expected):
+    """The full message, span and expectations of every `unexpected` error,
+    the bracket depth error in each bracketed form, and a missing operand at
+    each left-associative level."""
+    with pytest.raises(ParseError) as err:
+        parse_formula(src)
+    assert str(err.value) == text
+    assert (err.value.span.start, err.value.span.end) == span
+    assert err.value.expected == expected
