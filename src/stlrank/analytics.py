@@ -46,7 +46,7 @@ from .core.formula import (
     children,
     operator_count,
 )
-from .core.semantics import _checked, _per_time, eval_predicate
+from .core.semantics import _checked, _evaluate, eval_predicate
 from .ingest import COUNTERS, MISSING, OVERALL, Dataset, position_channels
 from .parser import _fmt_num, print_formula
 from .props import PropertySpec
@@ -150,17 +150,30 @@ class RateTable:
         return _render_columns(self.HEADERS, _cells(self.rows, self.HEADERS, 4), 2)
 
 
+# Rows per block of `verdict_matrix`. On 1e6 records of 14 days, on a
+# 2-vCPU Xeon VM, blocks of 16,384 rows evaluated the 9 library properties
+# in 0.69 s (65,536 rows: 0.77 s; measured again, both take 0.6-0.8 s), and
+# the peak RSS of `rates` stayed at the load's own 313 MiB. Evaluating all
+# rows at once took 1.14 s and raised the peak to 627 MiB.
+_BLOCK = 16_384
+
+
 def verdict_matrix(
     positions: np.ndarray, formulas: Sequence[Formula], *, until_strict: bool = False
 ) -> np.ndarray:
     """out[i, j] = row i of a (rows, days) position matrix satisfies formula
-    j, as `eval_rows` gives it. The channels are built and checked once and
-    serve every formula; with no rows, nothing is built or evaluated."""
+    j, as `eval_rows` gives it. Rows are evaluated in blocks of `_BLOCK`:
+    a block's channels are built and checked once and serve every formula,
+    which share the values of their common subformulas; with no rows,
+    nothing is built or evaluated."""
     out = np.zeros((len(positions), len(formulas)), dtype=bool)
-    if len(positions):
-        channels = _checked(position_channels(positions))
+    for start in range(0, len(positions), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        channels = _checked(position_channels(positions[rows]))
+        cache: dict = {}
         for j, f in enumerate(formulas):
-            out[:, j] = _per_time(f, channels, until_strict)[1][:, 0]
+            _, alg, value = _evaluate(f, channels, until_strict, cache)
+            out[rows, j] = alg.day0(value)
     return out
 
 
@@ -524,6 +537,8 @@ def cluster_kmeans(
         raise ValueError("k must be at least 1")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     matrix, included = _impute_rows(ds)
     X = matrix[included]
     if len(X) < k:

@@ -1,5 +1,7 @@
-"""Array kernels behind the linear-time evaluator.
+"""Array kernels behind the linear-time evaluator, in two forms.
 
+Day arrays
+----------
 Each kernel answers one window query for every day of a boolean array in a
 single vectorized pass, along the last axis of one trace (n,) or of many
 traces on one grid (R, n), the days 0..n-1. A window is two day offsets
@@ -14,6 +16,25 @@ boolean degenerate of a sliding min/max filter (Lemire, arXiv cs/0610046).
 The until scan reads next-witness indices of its right operand (reverse
 running minima) so padded against the run ends of its left one (Donze,
 Ferrere & Maler, CAV 2013). Every kernel is O(n).
+
+Words
+-----
+A grid of n <= 64 days also fits in one unsigned machine word per trace,
+bit k for day k, in the smallest of uint8/16/32/64 that holds n bits
+(`word_type`); bits n and up stay 0. `pack_words` shift-ORs the columns of a
+day array into words and `unpack_words` reads them back. The word kernels
+take the same windows with 0 <= a, so a window query is a few whole-word
+shifts, ANDs and ORs (the bit-parallel shift-or of Baeza-Yates & Gonnet,
+CACM 1992):
+
+* `words_any` ORs shifted copies of the word, doubling the span they cover,
+  O(log(b - a + 1)) word operations; `words_all` is its complement on the
+  complement, within the n-bit mask.
+* `words_until` makes one pass over the offsets s = 0..min(b, n - 1), with a
+  running AND of the left operand shifted by each, O(min(b, n)).
+
+Every shift stays below n, so below the word's width, where numpy's shifts
+are defined.
 
 The evaluator calls every kernel as an attribute of this module
 (`kernels.window_any(...)`), so a profiler can wrap them here.
@@ -117,3 +138,73 @@ def shift_bounds(times: np.ndarray, lo_shift: float, hi_shift: float) -> tuple[i
     # k + ceil(lo), and days <= k + hi end at k + floor(hi).
     lo, hi = (min(max(float(s), -n - 1.0), n + 1.0) for s in (lo_shift, hi_shift))
     return math.ceil(lo), math.floor(hi)
+
+
+# ---------------------------------------------------------------------------
+# Words.
+# ---------------------------------------------------------------------------
+
+_WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
+def word_type(n: int) -> np.dtype:
+    """The smallest unsigned integer type with n bits, for 1 <= n <= 64."""
+    return next(t for t in _WORD_TYPES if t.itemsize * 8 >= n)
+
+
+def word_mask(n: int):
+    """The n low bits, as a `word_type(n)` scalar; Python ints do not
+    overflow at n = 64."""
+    return word_type(n).type((1 << n) - 1)
+
+
+def pack_words(days: np.ndarray) -> np.ndarray:
+    """Boolean days (..., n), n <= 64, as words (...): bit k is day k."""
+    n = days.shape[-1]
+    wt = word_type(n)
+    out = np.zeros(days.shape[:-1], wt)
+    for k in range(n):
+        out |= days[..., k].astype(wt) << k
+    return out
+
+
+def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """Boolean days (..., n) of words (...): the inverse of `pack_words`."""
+    words = np.asarray(words)
+    return ((words[..., None] >> np.arange(n, dtype=words.dtype)) & 1).astype(np.bool_)
+
+
+def words_any(v: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """Bit k of the result is any(v bits k + a .. k + b), days past n - 1
+    being False; 0 <= a."""
+    b = min(b, n - 1)
+    if a > b:
+        return np.zeros_like(v)
+    # Bit j of `out` is any(v bits j .. j + covered - 1).
+    out, covered, span = v, 1, b - a + 1
+    while covered < span:
+        step = min(covered, span - covered)
+        out = out | (out >> step)
+        covered += step
+    return out >> a
+
+
+def words_all(v: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """Bit k of the result is all(v bits k + a .. k + b) on the n days;
+    0 <= a."""
+    mask = word_mask(n)
+    return words_any(v ^ mask, a, b, n) ^ mask
+
+
+def words_until(f1: np.ndarray, f2: np.ndarray, a: int, b: int, strict: bool, n: int) -> np.ndarray:
+    """Words of `until_scan`: bit k holds iff some j in k + a .. k + b has
+    f2 bit j and f1 bits k..j (k..j-1 if strict); 0 <= a."""
+    out = np.zeros_like(f2)
+    # Bit k of `before` is f1 on days k .. k + s - 1.
+    before = np.full_like(f1, word_mask(n))
+    for s in range(min(b, n - 1) + 1):
+        upto = before & (f1 >> s)
+        if s >= a:
+            out |= (f2 >> s) & (before if strict else upto)
+        before = upto
+    return out

@@ -27,17 +27,32 @@ Evaluators
 and serves as the correctness oracle. It re-enumerates windows per time, so
 it costs O(n^2) per temporal operator and is only meant for short traces.
 
-`eval_fast` computes one boolean array per subformula, bottom-up. Bounded
-and unbounded F/G windows become one sliding-window any/all pass over the
-array, and U becomes one run-length plus next-witness scan, so every
-operator costs O(n) on the day grid (Donze, Ferrere & Maler, CAV 2013) and
-the whole evaluation O(n * |formula|). The array passes live in `kernels`.
-Both evaluators agree bit for bit at every day.
+`eval_fast` computes the value of each subformula on every day, bottom-up,
+in one walk over the formula, `_node_on_grid`. Bounded and unbounded F/G
+windows become one sliding-window any/all pass over the operand's value, and
+U one pass over its two operands, so every operator costs O(n) on the day
+grid (Donze, Ferrere & Maler, CAV 2013) and the whole evaluation
+O(n * |formula|). Both evaluators agree bit for bit at every day.
 
-One core, `_per_time`, runs that pass for `eval_fast` and for `eval_rows`,
-which takes R traces at once, each node an (R, n) array whose window offsets
-serve all rows. `eval_rows` checks its channels (`_checked`) first; the
-dataset entry, `analytics.verdict_matrix`, checks them once for all formulas.
+The walk is written once over a value algebra: how a node's value is held,
+and the operations atom, const, neg, any, all and until on it (and/or are
+numpy's & and |). There are two, with their kernels in `kernels`:
+
+* `Prefix` holds a node as a boolean array over the days, the window passes
+  reading prefix sums;
+* `Words` holds a node as one unsigned machine word per trace, bit k for
+  day k, the window passes being whole-word shifts, ANDs and ORs.
+
+A grid of n <= 64 days takes `Words`, a longer one `Prefix`; the choice
+follows from n alone, and both give the same verdicts. The walk keeps each
+node's value in a cache keyed by the node, so a subformula shared by several
+formulas on the same channels, such as an atom, is evaluated once.
+
+One core, `_evaluate`, runs the walk for `eval_fast` and for `eval_rows`.
+`eval_rows` takes R traces at once: a node's value holds all R rows, and
+one window's day offsets serve them all. It checks its channels
+(`_checked`) first; the dataset entry, `analytics.verdict_matrix`, checks
+them once per block of rows for all formulas, which share one cache.
 
 Both evaluators, and the grounded evaluator of propositional expansion, read
 terms through `eval_term` and comparisons through `eval_predicate`; numpy
@@ -162,56 +177,130 @@ def eval_predicate(p: Predicate, value_of):
     return abs(diff) > p.eq_tolerance
 
 
+class Prefix:
+    """Node values as boolean arrays (..., n), day k at [..., k], with the
+    prefix-sum kernels; for grids of any length."""
+
+    def __init__(self, lead: tuple, n: int) -> None:
+        self.shape, self.n = lead + (n,), n
+
+    def atom(self, days: np.ndarray) -> np.ndarray:
+        return days
+
+    def const(self, value: bool) -> np.ndarray:
+        return np.full(self.shape, value)
+
+    def neg(self, v: np.ndarray) -> np.ndarray:
+        return ~v
+
+    def any(self, v, a: int, b: int):
+        return kernels.window_any(v, a, b)
+
+    def all(self, v, a: int, b: int):
+        return kernels.window_all(v, a, b)
+
+    def until(self, f1, f2, a: int, b: int, strict: bool):
+        return kernels.until_scan(f1, f2, a, b, strict)
+
+    def day0(self, v: np.ndarray) -> np.ndarray:
+        return v[..., 0]
+
+    def days(self, v: np.ndarray) -> np.ndarray:
+        return v
+
+
+class Words:
+    """Node values as one unsigned word per trace (...), bit k for day k,
+    with the word kernels; for grids of n <= 64 days."""
+
+    def __init__(self, lead: tuple, n: int) -> None:
+        self.lead, self.n, self.mask = lead, n, kernels.word_mask(n)
+
+    def atom(self, days: np.ndarray) -> np.ndarray:
+        return kernels.pack_words(days)
+
+    def const(self, value: bool) -> np.ndarray:
+        return np.full(self.lead, self.mask if value else 0, self.mask.dtype)
+
+    def neg(self, v: np.ndarray) -> np.ndarray:
+        return v ^ self.mask
+
+    def any(self, v, a: int, b: int):
+        return kernels.words_any(v, a, b, self.n)
+
+    def all(self, v, a: int, b: int):
+        return kernels.words_all(v, a, b, self.n)
+
+    def until(self, f1, f2, a: int, b: int, strict: bool):
+        return kernels.words_until(f1, f2, a, b, strict, self.n)
+
+    def day0(self, v: np.ndarray) -> np.ndarray:
+        return np.asarray(v & 1, dtype=np.bool_)
+
+    def days(self, v: np.ndarray) -> np.ndarray:
+        return kernels.unpack_words(v, self.n)
+
+
 def _node_on_grid(
-    f: Formula, value_of, grid: np.ndarray, shape: tuple, strict: bool
-) -> np.ndarray:
-    """Satisfaction of `f` at every grid position, of `shape` (n,) or
-    (R, n), as are the channel values `value_of(name)` gives."""
-    args = (value_of, grid, shape, strict)
-    if isinstance(f, TrueFormula):
-        return np.ones(shape, dtype=np.bool_)
-    if isinstance(f, FalseFormula):
-        return np.zeros(shape, dtype=np.bool_)
-    if isinstance(f, Atom):
-        out = eval_predicate(f.predicate, value_of)
+    f: Formula, alg: Prefix | Words, value_of, grid: np.ndarray, strict: bool, cache: dict
+):
+    """Value of `f` in the algebra `alg` (`Prefix` or `Words`) on the days
+    `grid`, the channel values `value_of(name)` giving (..., n) arrays.
+    `cache` holds the value of each node already evaluated on this grid."""
+    # The grid length is part of the key: a formula that reads d1(x) cuts
+    # x to one day less than one that reads x alone.
+    key = (f, alg.n, strict)
+    if key in cache:
+        return cache[key]
+    args = (alg, value_of, grid, strict, cache)
+    if isinstance(f, (TrueFormula, FalseFormula)):
+        out = alg.const(isinstance(f, TrueFormula))
+    elif isinstance(f, Atom):
+        days = eval_predicate(f.predicate, value_of)
         # Only a comparison between constants comes out as a single bool.
-        return out if isinstance(out, np.ndarray) else np.full(shape, out)
-    if isinstance(f, Not):
-        return ~_node_on_grid(f.operand, *args)
-    if isinstance(f, And):
-        return _node_on_grid(f.left, *args) & _node_on_grid(f.right, *args)
-    if isinstance(f, Or):
-        return _node_on_grid(f.left, *args) | _node_on_grid(f.right, *args)
-    if isinstance(f, Implies):
-        return ~_node_on_grid(f.left, *args) | _node_on_grid(f.right, *args)
-    if isinstance(f, (Eventually, Globally, Until)):
+        out = alg.atom(days) if isinstance(days, np.ndarray) else alg.const(bool(days))
+    elif isinstance(f, Not):
+        out = alg.neg(_node_on_grid(f.operand, *args))
+    elif isinstance(f, And):
+        out = _node_on_grid(f.left, *args) & _node_on_grid(f.right, *args)
+    elif isinstance(f, Or):
+        out = _node_on_grid(f.left, *args) | _node_on_grid(f.right, *args)
+    elif isinstance(f, Implies):
+        out = alg.neg(_node_on_grid(f.left, *args)) | _node_on_grid(f.right, *args)
+    elif isinstance(f, (Eventually, Globally, Until)):
         # Day offsets of t + I: the window of day k is days k + a .. k + b.
         a, b = kernels.shift_bounds(grid, f.interval.lo, f.interval.hi)
         if isinstance(f, Eventually):
-            return kernels.window_any(_node_on_grid(f.operand, *args), a, b)
-        if isinstance(f, Globally):
-            return kernels.window_all(_node_on_grid(f.operand, *args), a, b)
-        left, right = _node_on_grid(f.left, *args), _node_on_grid(f.right, *args)
-        return kernels.until_scan(left, right, a, b, strict)
-    raise FormulaError(f"not a formula: {f!r}")
+            out = alg.any(_node_on_grid(f.operand, *args), a, b)
+        elif isinstance(f, Globally):
+            out = alg.all(_node_on_grid(f.operand, *args), a, b)
+        else:
+            left, right = _node_on_grid(f.left, *args), _node_on_grid(f.right, *args)
+            out = alg.until(left, right, a, b, strict)
+    else:
+        raise FormulaError(f"not a formula: {f!r}")
+    cache[key] = out
+    return out
 
 
-def _per_time(
-    f: Formula, arrays: dict[str, np.ndarray], strict: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The days 0..n-1 of `f`'s grid and its satisfaction on each, of shape
-    (..., n) for channels of one leading shape, each (..., n_c) on days
-    0..n_c-1. `eval_fast` keeps the grid as `Verdict.times`: a second
-    arange per call shows on long traces."""
+def _evaluate(f: Formula, arrays: dict[str, np.ndarray], strict: bool, cache: dict):
+    """(grid, algebra, value) of `f` on the days 0..n-1 of its grid, for
+    channels of one leading shape, each (..., n_c) on days 0..n_c-1. A grid
+    of n <= 64 days takes `Words`, a longer one `Prefix`. `cache` is as for
+    `_node_on_grid` and may serve several formulas on the same channels.
+    `eval_fast` keeps the grid as `Verdict.times`: a second arange per call
+    shows on long traces."""
     n = _grid_length(f, {name: values.shape[-1] for name, values in arrays.items()})
-    shape = next(iter(arrays.values())).shape[:-1] + (n,)
+    lead = next(iter(arrays.values())).shape[:-1]
+    alg = (Words if n <= 64 else Prefix)(lead, n)
     grid = np.arange(n, dtype=np.int64)
-    return grid, _node_on_grid(f, lambda name: arrays[name][..., :n], grid, shape, strict)
+    return grid, alg, _node_on_grid(f, alg, lambda name: arrays[name][..., :n], grid, strict, cache)
 
 
 def eval_fast(f: Formula, w: TraceSet, *, until_strict: bool = False) -> Verdict:
     """Evaluate at every day of the grid in one bottom-up pass; O(n * |formula|)."""
-    times, per_time = _per_time(f, {tr.channel: tr.values for tr in w}, until_strict)
+    times, alg, value = _evaluate(f, {tr.channel: tr.values for tr in w}, until_strict, {})
+    per_time = alg.days(value)
     return Verdict(satisfied=bool(per_time[0]), times=times, per_time=per_time)
 
 
@@ -240,7 +329,8 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
     trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric,
     has no day or a value that is not finite (as `Trace` requires), or
     channels whose leading shapes differ, raise EvaluationError."""
-    return _per_time(f, _checked(channels), until_strict)[1][..., 0]
+    _, alg, value = _evaluate(f, _checked(channels), until_strict, {})
+    return alg.day0(value)
 
 
 # ---------------------------------------------------------------------------

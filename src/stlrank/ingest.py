@@ -125,6 +125,9 @@ def _check_record(product_id, category, positions, counters) -> tuple[float, ...
     if category == OVERALL:
         raise SchemaError(f"category {OVERALL!r} is reserved for the rollup rows")
     try:
+        # A string is a sequence too, but of characters, not of positions.
+        if isinstance(positions, (str, bytes, bytearray)):
+            raise TypeError
         positions = tuple(map(float, positions))
     except (TypeError, ValueError):
         raise SchemaError(f"record {product_id!r}: positions must be a list of numbers") from None
@@ -576,6 +579,8 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DatasetError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_records < 1:
             raise DatasetError("n_records must be at least 1")
         if self.category_count < 1:

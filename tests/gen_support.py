@@ -167,9 +167,11 @@ def st_intervals(draw):
     return Interval(lo, lo + draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])))
 
 
-def st_formulas(channels, until=False):
+def st_formulas(channels, until=False, intervals=None):
     """Formulas over the channels; Until-free unless `until` is set, as
-    propositional expansion can only ground Until-free formulas."""
+    propositional expansion can only ground Until-free formulas. Windows
+    come from `intervals`, `st_intervals()` by default."""
+    intervals = st_intervals() if intervals is None else intervals
     leaves = st.one_of(st.just(TRUE), st.just(FALSE), st_predicates(channels).map(Atom))
 
     def extend(f):
@@ -178,9 +180,9 @@ def st_formulas(channels, until=False):
             st.builds(And, f, f),
             st.builds(Or, f, f),
             st.builds(Implies, f, f),
-            st.builds(Eventually, st_intervals(), f),
-            st.builds(Globally, st_intervals(), f),
-            *([st.builds(Until, st_intervals(), f, f)] if until else []),
+            st.builds(Eventually, intervals, f),
+            st.builds(Globally, intervals, f),
+            *([st.builds(Until, intervals, f, f)] if until else []),
         )
 
     return st.recursive(leaves, extend, max_leaves=6)

@@ -280,6 +280,11 @@ def test_kmeans_max_iter_below_one_is_a_usage_error(max_iter, dataset, capsys):
     assert captured.err == "error: max_iter must be at least 1\n"
 
 
+def test_kmeans_negative_seed_is_a_usage_error(dataset, capsys):
+    assert main(["kmeans", "-i", str(dataset), "--k", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
+
+
 RATES_OF_NO_RECORDS = """\
 category  property      satisfied  total  rate
 (all)     flat_start            0      0    NA
@@ -432,6 +437,14 @@ def test_generate_needs_a_finite_noise_sigma(sigma, tmp_path, capsys):
     argv = ["generate", "-o", str(out), "--n", "10", "--mix", "flat=1.0", "--noise-sigma", sigma]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: noise_sigma must be finite, got {sigma}\n"
+    assert not out.exists()
+
+
+def test_generate_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["generate", "-o", str(out), "--n", "10", "--mix", "flat=1.0", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
     assert not out.exists()
 
 

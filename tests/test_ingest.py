@@ -59,7 +59,8 @@ def test_record_validation():
         record([1.0] * 14, pid=7)
     with pytest.raises(SchemaError, match="'category': not a string"):
         record([1.0] * 14, category=None)
-    for positions in (["a"], [1.0, None], [None], None, 5.0):
+    # A string is not split into characters: "12" is not [1.0, 2.0].
+    for positions in (["a"], [1.0, None], [None], None, 5.0, "1234", b"12", bytearray(b"12")):
         with pytest.raises(SchemaError, match="'p': positions must be a list of numbers"):
             ProductRecord("p", "c", positions, 0, 0, 0)
 

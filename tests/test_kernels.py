@@ -1,4 +1,5 @@
-"""Window and until kernels against brute-force references."""
+"""Window and until kernels, on day arrays and on words, against
+brute-force references."""
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ def test_kernels_on_every_offset_pair():
                 check_windows(values, rows, a, b)
                 for strict in (False, True):
                     check_until(f1, f2, rows1, rows2, a, b, strict)
+
+
+def test_word_kernels_match_brute_force():
+    # Offsets as shift_bounds gives them for the non-negative shifts of an
+    # Interval, 0 <= a <= b + 1: every pair on grids up to 12 days, random
+    # ones on grids that fill a word type or spill into the next.
+    rng = np.random.default_rng(19)
+    for n in (*range(1, 13), 16, 17, 32, 33, 63, 64):
+        rows, rows1, rows2 = rng.random((3, 3, n)) < np.array([0.5, 0.7, 0.4])[:, None, None]
+        words, words1, words2 = (kernels.pack_words(r) for r in (rows, rows1, rows2))
+        assert words.dtype == kernels.word_type(n) and words.dtype.itemsize * 8 < 2 * max(n, 8)
+        assert np.array_equal(kernels.unpack_words(words, n), rows)
+        pairs = [(a, b) for a in range(n + 2) for b in range(a - 1, n + 2)]
+        if n > 12:
+            pairs = [pairs[i] for i in rng.choice(len(pairs), 25, replace=False)]
+        for a, b in pairs:
+            for kernel, brute in ((kernels.words_any, brute_window_any),
+                                  (kernels.words_all, brute_window_all)):
+                got = kernels.unpack_words(kernel(words, a, b, n), n)
+                assert np.array_equal(got, stack(brute, rows, a, b)), (kernel, n, a, b)
+            for strict in (False, True):
+                got = kernels.unpack_words(kernels.words_until(words1, words2, a, b, strict, n), n)
+                want = np.stack([brute_until(x, y, a, b, strict) for x, y in zip(rows1, rows2)])
+                assert np.array_equal(got, want), (n, a, b, strict)
 
 
 def test_empty_windows_use_quantifier_identity():
