@@ -42,7 +42,6 @@ from .core import (
     UnknownChannelError,
     channels_of,
     desugar,
-    eval_expr,
     eval_fast,
     eval_naive,
     eval_rows,
@@ -99,7 +98,7 @@ __all__ = [
     "channels_of", "desugar", "operator_count",
     # traces and evaluation
     "Trace", "TraceError", "TraceSet", "Verdict", "EvaluationError",
-    "SampleTimeError", "UnknownChannelError", "eval_expr", "eval_fast",
+    "SampleTimeError", "UnknownChannelError", "eval_fast",
     "eval_naive", "eval_rows", "evaluation_grid",
     # parsing
     "ParseError", "SourceSpan", "parse_formula", "print_formula",

@@ -114,12 +114,18 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _id_field(pid: str) -> str:
+    """`pid` with CR, LF and tab written as the escapes \\r, \\n and \\t, so
+    that each record of `check --each` is one id<TAB>verdict line."""
+    return pid.replace("\r", "\\r").replace("\n", "\\n").replace("\t", "\\t")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     formula = _resolve_formula(args)
     ds = _load(args)
     verdicts = verdict_matrix(ds.positions, [formula], until_strict=args.strict_until)[:, 0]
     if args.each:
-        sys.stdout.writelines(f"{pid}\t{'satisfied' if ok else 'violated'}\n"
+        sys.stdout.writelines(f"{_id_field(pid)}\t{'satisfied' if ok else 'violated'}\n"
                               for pid, ok in zip(ds.ids, verdicts.tolist()))
     satisfied = int(verdicts.sum())
     total = len(ds)
@@ -149,6 +155,8 @@ def _parse_mix(text: str) -> dict[str, float]:
         name = name.strip()
         if not sep or not name:
             raise ValueError(f"bad --mix entry {part!r}; expected NAME=SHARE")
+        if name in mix:
+            raise ValueError(f"bad --mix entry {part!r}: pattern {name!r} is repeated")
         try:
             mix[name] = float(value)
         except ValueError:

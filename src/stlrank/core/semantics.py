@@ -16,10 +16,11 @@ evaluator excludes the witness time (f1 on [t, t') only), which differs
 exactly when f1 fails on the witness day. F/G are unaffected because
 their (true U ...) desugaring trivially satisfies the extra obligation.
 
-Every channel is sampled on days 0..n_c-1 (see `trace`). A formula is
-evaluated on days 0..n-1, n the length of the shortest channel it mentions,
-or of all channels if it mentions none; so anything reading d1(x) stops one
-day before x does. A whole-trace verdict is satisfaction at day 0.
+A trace is a channel map: each channel name ("x", "d1(x)") maps to its
+values on days 0..n_c-1, an (n_c,) array. A formula is evaluated on days
+0..n-1, n the length of the shortest channel it mentions, or of all
+channels if it mentions none; so anything reading d1(x) stops one day
+before x does. A whole-trace verdict is satisfaction at day 0.
 
 Evaluators
 ----------
@@ -49,10 +50,12 @@ node's value in a cache keyed by the node, so a subformula shared by several
 formulas on the same channels, such as an atom, is evaluated once.
 
 One core, `_evaluate`, runs the walk for `eval_fast` and for `eval_rows`.
-`eval_rows` takes R traces at once: a node's value holds all R rows, and
-one window's day offsets serve them all. It checks its channels
-(`_checked`) first; the dataset entry, `analytics.verdict_matrix`, checks
-them once per block of rows for all formulas, which share one cache.
+`eval_rows` takes R traces at once, each channel an (R, n_c) matrix: a
+node's value holds all R rows, and one window's day offsets serve them all.
+Every evaluator checks its channels with `_checked` first; the one-trace
+evaluators check only the channels the formula reads, and also that each
+is 1-d. The dataset entry, `analytics.verdict_matrix`, checks them once per
+block of rows for all formulas, which share one cache.
 
 Both evaluators, and the grounded evaluator of propositional expansion, read
 terms through `eval_term` and comparisons through `eval_predicate`; numpy
@@ -91,7 +94,11 @@ from .formula import (
     Var,
     channels_of,
 )
-from .trace import TraceSet, is_day
+
+
+def is_day(t, n: int) -> bool:
+    """Whether t is one of the days 0..n-1; an integral float counts."""
+    return 0 <= t < n and t == int(t)
 
 
 class EvaluationError(Exception):
@@ -99,7 +106,7 @@ class EvaluationError(Exception):
 
 
 class UnknownChannelError(EvaluationError):
-    """The formula mentions a channel the trace set does not carry."""
+    """The formula mentions a channel the trace does not carry."""
 
 
 class SampleTimeError(EvaluationError):
@@ -120,21 +127,29 @@ class Verdict:
         return bool(self.per_time[int(t)])
 
 
+def _channels_read(f: Formula, channels) -> list[str]:
+    """The names, sorted, of the channels `f` is evaluated on: those it
+    mentions, or all of `channels` if it mentions none."""
+    names = sorted(channels_of(f) or channels)
+    if not names:
+        raise EvaluationError("no channels to evaluate on")
+    for name in names:
+        if name not in channels:
+            raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
+    return names
+
+
 def _grid_length(f: Formula, lengths: dict[str, int]) -> int:
     """n of the days 0..n-1 `f` is evaluated on (see the module docstring);
     `lengths` gives each channel's length."""
-    names = channels_of(f) or lengths
-    if not names:
-        raise EvaluationError("no channels to evaluate on")
-    for name in sorted(names):
-        if name not in lengths:
-            raise UnknownChannelError(f"formula mentions unknown channel {name!r}")
-    return min(lengths[name] for name in names)
+    return min(lengths[name] for name in _channels_read(f, lengths))
 
 
-def evaluation_grid(f: Formula, w: TraceSet) -> np.ndarray:
-    """Days a formula is evaluated on: see the module docstring."""
-    return np.arange(_grid_length(f, {tr.channel: len(tr) for tr in w}), dtype=np.int64)
+def evaluation_grid(f: Formula, channels) -> np.ndarray:
+    """Days a formula is evaluated on, for the channels of one trace: see
+    the module docstring."""
+    lengths = {name: values.size for name, values in _trace_read(f, channels).items()}
+    return np.arange(_grid_length(f, lengths), dtype=np.int64)
 
 
 def eval_term(e, value_of):
@@ -297,15 +312,9 @@ def _evaluate(f: Formula, arrays: dict[str, np.ndarray], strict: bool, cache: di
     return grid, alg, _node_on_grid(f, alg, lambda name: arrays[name][..., :n], grid, strict, cache)
 
 
-def eval_fast(f: Formula, w: TraceSet, *, until_strict: bool = False) -> Verdict:
-    """Evaluate at every day of the grid in one bottom-up pass; O(n * |formula|)."""
-    times, alg, value = _evaluate(f, {tr.channel: tr.values for tr in w}, until_strict, {})
-    per_time = alg.days(value)
-    return Verdict(satisfied=bool(per_time[0]), times=times, per_time=per_time)
-
-
-def _checked(channels) -> dict[str, np.ndarray]:
-    """`channels` as float arrays, checked as `eval_rows` states."""
+def _checked(channels, *, trace: bool = False) -> dict[str, np.ndarray]:
+    """`channels` as float arrays, checked as `eval_rows` states; with
+    `trace`, the channels of one trace, each of which must be 1-d."""
     arrays = {}
     for name, values in channels.items():
         try:
@@ -314,6 +323,8 @@ def _checked(channels) -> dict[str, np.ndarray]:
             raise EvaluationError(f"channel {name!r}: {exc}") from None
         if values.ndim == 0 or values.shape[-1] == 0:
             raise EvaluationError(f"channel {name!r} has no days")
+        if trace and values.ndim != 1:
+            raise EvaluationError(f"channel {name!r}: values must be 1-d")
         if not np.isfinite(values).all():
             raise EvaluationError(f"channel {name!r}: values must be finite")
     shapes = {values.shape[:-1] for values in arrays.values()}
@@ -322,13 +333,29 @@ def _checked(channels) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _trace_read(f: Formula, channels) -> dict[str, np.ndarray]:
+    """The channels of one trace that `f` is evaluated on, checked by
+    `_checked` with each 1-d; the others are left unchecked."""
+    return _checked({name: channels[name] for name in _channels_read(f, channels)}, trace=True)
+
+
+def eval_fast(f: Formula, channels, *, until_strict: bool = False) -> Verdict:
+    """Evaluate at every day of the grid in one bottom-up pass; O(n * |formula|).
+    `channels` maps each name to its values on days 0..n_c-1, an (n_c,)
+    array. A channel `f` reads that is not 1-d, or is rejected as by
+    `eval_rows`, raises EvaluationError."""
+    times, alg, value = _evaluate(f, _trace_read(f, channels), until_strict, {})
+    per_time = alg.days(value)
+    return Verdict(satisfied=bool(per_time[0]), times=times, per_time=per_time)
+
+
 def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray:
     """(R,) array: entry r is `eval_fast(f, w_r).satisfied` for the traces
     of row r. `channels` maps each name to an (R, n_c) matrix on days
     0..n_c-1; the evaluation grid is as for `eval_fast`. Channels of one
     trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric,
-    has no day or a value that is not finite (as `Trace` requires), or
-    channels whose leading shapes differ, raise EvaluationError."""
+    has no day or a value that is not finite, or channels whose leading
+    shapes differ, raise EvaluationError."""
     _, alg, value = _evaluate(f, _checked(channels), until_strict, {})
     return alg.day0(value)
 
@@ -337,35 +364,20 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
 # Reference evaluator.
 # ---------------------------------------------------------------------------
 
-def _value_at(w: TraceSet, name: str, t: int) -> float:
-    if name not in w:
-        raise UnknownChannelError(f"unknown channel {name!r}")
-    tr = w[name]
-    if not tr.has_time(t):
-        raise SampleTimeError(f"channel {name!r} has no sample at t={t}")
-    return tr.value_at(t)
-
-
-def eval_expr(e, w: TraceSet, t: int) -> float:
-    """Value of a term at day t (t must be a day of every channel the term
-    mentions)."""
-    return eval_term(e, lambda name: _value_at(w, name, t))
-
-
 def _window_slice(grid: np.ndarray, t: int, interval: Interval):
     lo = int(np.searchsorted(grid, t + interval.lo, side="left"))
     hi = int(np.searchsorted(grid, t + interval.hi, side="right"))
     return lo, hi  # half-open index range
 
 
-def _naive(f: Formula, w: TraceSet, grid: np.ndarray, i: int, strict: bool) -> bool:
+def _naive(f: Formula, w, grid: np.ndarray, i: int, strict: bool) -> bool:
     t = int(grid[i])
     if isinstance(f, TrueFormula):
         return True
     if isinstance(f, FalseFormula):
         return False
     if isinstance(f, Atom):
-        return eval_predicate(f.predicate, lambda name: _value_at(w, name, t))
+        return eval_predicate(f.predicate, lambda name: float(w[name][t]))
     if isinstance(f, Not):
         return not _naive(f.operand, w, grid, i, strict)
     if isinstance(f, And):
@@ -393,14 +405,14 @@ def _naive(f: Formula, w: TraceSet, grid: np.ndarray, i: int, strict: bool) -> b
 
 
 def eval_naive(
-    f: Formula, w: TraceSet, t: int | None = None, *, until_strict: bool = False
+    f: Formula, channels, t: int | None = None, *, until_strict: bool = False
 ) -> bool:
     """Reference evaluator: recursive transcription of the semantics at one
     day of the formula's evaluation grid (day 0 when t is omitted, matching
-    Verdict.satisfied)."""
-    grid = evaluation_grid(f, w)
+    Verdict.satisfied). `channels` is checked as for `eval_fast`."""
+    grid = evaluation_grid(f, channels)
     if t is None:
         t = 0
     elif not is_day(t, grid.size):
         raise SampleTimeError(f"t={t} is not on the evaluation grid")
-    return _naive(f, w, grid, int(t), until_strict)
+    return _naive(f, channels, grid, int(t), until_strict)

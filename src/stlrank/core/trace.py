@@ -1,19 +1,19 @@
-"""Traces: named signals sampled on days 0..n-1, and bundles of them."""
+"""Traces: named signals sampled on days 0..n-1, and bundles of them.
+
+The evaluators take channel maps (see `semantics`); a `TraceSet` is one.
+These types remain only because `perfbench/workloads.py` builds them, and
+they go when the benchmark builds channel maps (ROADMAP: "One input type").
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 
 class TraceError(ValueError):
     """A trace or trace set violates a structural invariant."""
-
-
-def is_day(t, n: int) -> bool:
-    """Whether t is one of the days 0..n-1; an integral float counts."""
-    return 0 <= t < n and t == int(t)
 
 
 class Trace:
@@ -46,60 +46,28 @@ class Trace:
         self.times = days
         self.values = v
 
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-    def has_time(self, t: int) -> bool:
-        """Whether t is one of the days 0..n-1 of this trace."""
-        return is_day(t, len(self))
-
-    def value_at(self, t: int) -> float:
-        """Value at day t. Raises TraceError if t is not sampled."""
-        if not self.has_time(t):
-            raise TraceError(f"channel {self.channel!r}: no sample at t={t}")
-        return float(self.values[int(t)])
-
     def __repr__(self) -> str:
-        return f"Trace({self.channel!r}, n={len(self)})"
+        return f"Trace({self.channel!r}, n={self.values.size})"
 
 
-class TraceSet:
-    """A bundle of traces keyed by unique channel name.
+class TraceSet(dict):
+    """The channel map of traces with unique channel names: each channel
+    name maps to its trace's read-only values.
 
     Channels may differ in length: the discrete derivative of a 14-day signal
     has 13 days. A formula is evaluated on the days every channel it
     mentions carries, days 0..n-1 of the shortest of them.
     """
 
-    __slots__ = ("_traces",)
+    __slots__ = ()
 
     def __init__(self, traces: Iterable[Trace]) -> None:
-        store: dict[str, Trace] = {}
+        super().__init__()
         for tr in traces:
             if not isinstance(tr, Trace):
                 raise TraceError(f"not a Trace: {tr!r}")
-            if tr.channel in store:
+            if tr.channel in self:
                 raise TraceError(f"duplicate channel {tr.channel!r}")
-            store[tr.channel] = tr
-        if not store:
+            self[tr.channel] = tr.values
+        if not self:
             raise TraceError("trace set needs at least one trace")
-        self._traces = store
-
-    @property
-    def channels(self) -> tuple[str, ...]:
-        return tuple(self._traces)
-
-    def __contains__(self, channel: str) -> bool:
-        return channel in self._traces
-
-    def __getitem__(self, channel: str) -> Trace:
-        try:
-            return self._traces[channel]
-        except KeyError:
-            raise TraceError(f"unknown channel {channel!r}") from None
-
-    def __iter__(self) -> Iterator[Trace]:
-        return iter(self._traces.values())
-
-    def __len__(self) -> int:
-        return len(self._traces)

@@ -1,4 +1,4 @@
-"""Product ranking datasets: records, file IO, traces, and a generator.
+"""Product ranking datasets: records, file IO, channels, and a generator.
 
 A record is one product's daily ranking positions over a fixed grid of D
 days, 0..D-1 (14 from `generate`), plus three engagement counters. Positions
@@ -39,6 +39,8 @@ with the one-day differences, one sample shorter. A difference that touches a
 missing day is meaningless, so it is set to 0 and reported in the flag mask
 returned by `derivative_values`; filter candidates first (`filter_complete`
 or the miss properties) when that matters.
+`traceset_from_positions` and `to_traceset` return the same channels; they
+remain for the benchmark only.
 
 `generate` builds synthetic datasets from a pattern mix. Pattern counts per
 category are exact (largest remainder), so planted-rate assertions are exact
@@ -71,8 +73,6 @@ from itertools import chain, compress, count
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .core.trace import Trace, TraceSet
 
 __all__ = [
     "DAYS_DEFAULT",
@@ -211,7 +211,7 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Traces.
+# Channels.
 # ---------------------------------------------------------------------------
 
 def derivative_values(positions) -> tuple[np.ndarray, np.ndarray]:
@@ -239,17 +239,18 @@ def position_channels(positions) -> dict[str, np.ndarray]:
     return {"x": pos}
 
 
-def traceset_from_positions(positions: Sequence[float]) -> TraceSet:
-    """The `position_channels` of a signal as traces."""
-    return TraceSet(
-        Trace(name, np.arange(values.size, dtype=np.int64), values)
-        for name, values in position_channels(positions).items()
-    )
+def traceset_from_positions(positions: Sequence[float]) -> dict[str, np.ndarray]:
+    """`position_channels(positions)`. It remains only because
+    `perfbench/worker.py` and `perfbench/tracer.py` call it, and goes with
+    the ROADMAP item "One input type"."""
+    return position_channels(positions)
 
 
-def to_traceset(rec: ProductRecord) -> TraceSet:
-    """Evaluable signals for one record (see `traceset_from_positions`)."""
-    return traceset_from_positions(rec.positions)
+def to_traceset(rec: ProductRecord) -> dict[str, np.ndarray]:
+    """`position_channels(rec.positions)`. It remains only because
+    `perfbench/tracer.py` calls it, and goes with the ROADMAP item "One
+    input type"."""
+    return position_channels(rec.positions)
 
 
 def filter_complete(ds: Dataset) -> Dataset:
@@ -683,14 +684,12 @@ def generate(config: GeneratorConfig) -> Dataset:
     mix_names = [p for p in PATTERNS if p in config.pattern_mix]
     mix_shares = [float(config.pattern_mix[p]) for p in mix_names]
 
-    per_cat = [config.n_records // config.category_count] * config.category_count
-    for i in range(config.n_records % config.category_count):
-        per_cat[i] += 1
-
+    # Categories past the n_records-th get no record and draw nothing.
+    base, extra = divmod(config.n_records, config.category_count)
     rows: list[tuple] = []
     planted: dict[str, str] = {}
-    for cat_i, cat_n in enumerate(per_cat):
-        counts = _exact_counts(mix_names, mix_shares, cat_n)
+    for cat_i in range(min(config.category_count, config.n_records)):
+        counts = _exact_counts(mix_names, mix_shares, base + (cat_i < extra))
         category = f"c{cat_i}"
         for pattern, count in zip(mix_names, counts):
             builder, (mean_impr, mean_clicks, mean_purch) = _PATTERNS[pattern]

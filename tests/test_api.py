@@ -15,7 +15,7 @@ def test_public_api_is_pinned():
         "SampleTimeError", "SchemaError", "SourceSpan", "Sub", "TRUE", "Trace", "TraceError",
         "TraceSet", "TrueFormula", "UnknownChannelError", "Until", "Var", "Verdict",
         "__version__", "build", "channels_of", "cluster_kmeans", "default_library",
-        "derivative_values", "describe", "desugar", "eval_expr", "eval_fast", "eval_naive",
+        "derivative_values", "describe", "desugar", "eval_fast", "eval_naive",
         "eval_rows", "evaluate_grounded", "evaluation_grid", "expand_propositional",
         "expand_query", "filter_complete", "generate", "load_dataset", "metric_distribution",
         "operator_count", "parse_formula", "position_channels", "print_formula",
@@ -27,7 +27,7 @@ def test_public_api_is_pinned():
         "FalseFormula", "Formula", "FormulaError", "Globally", "Implies", "Interval", "Mul",
         "Neg", "Not", "Or", "Predicate", "SampleTimeError", "Sub", "TRUE", "Trace",
         "TraceError", "TraceSet", "TrueFormula", "UnknownChannelError", "Until", "Var",
-        "Verdict", "channels_of", "desugar", "eval_expr", "eval_fast", "eval_naive",
+        "Verdict", "channels_of", "desugar", "eval_fast", "eval_naive",
         "eval_rows", "evaluation_grid", "operator_count",
     ]
     assert sorted(stlrank.analytics.__all__) == [

@@ -2,9 +2,11 @@
 
 `perfbench/tracer.py` wraps every entry of its TARGETS table and raises
 AttributeError on one that is gone, and `perfbench/worker.py` calls the
-public API below; a rename that every other test accepts would still break
+public API below, and `perfbench/workloads.py` builds its oracles' trace
+sets itself; a rename that every other test accepts would still break
 `perfbench/run.py --trace 1`. The benchmark lives outside the package, so
-these tests read its tables rather than run it.
+these tests read its tables and run its oracles on small inputs rather than
+run it.
 """
 
 import argparse
@@ -13,8 +15,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import stlrank
 import stlrank.cli
+from stlrank.analytics import verdict_matrix
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,3 +61,22 @@ def test_the_workload_flags_are_cli_options():
     options = {s for p in sub.choices.values() for a in p._actions for s in a.option_strings}
     assert len(flags) >= 14
     assert flags <= options, sorted(flags - options)
+
+
+def test_the_workload_oracles_run(monkeypatch, tmp_path):
+    """perfbench's oracles build their own trace sets for `eval_naive`; on a
+    small generated dataset they agree with `verdict_matrix`, and
+    `long_trace`'s input and expectations build."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ds = stlrank.generate(stlrank.GeneratorConfig(
+        n_records=60, pattern_mix=workloads.MIX, category_count=4,
+        noise_sigma=workloads.NOISE_SIGMA, seed=3))
+    formulas = [(spec.formula, False) for spec in stlrank.default_library()]
+    formulas += [(stlrank.parse_formula(text), strict) for text, strict, _ in workloads.ADHOC]
+    want = np.column_stack([verdict_matrix(ds.positions, [f], until_strict=strict)[:, 0]
+                            for f, strict in formulas])
+    assert np.array_equal(workloads.naive_verdicts(ds, formulas), want)
+    state = workloads.LongTrace().prepare(
+        tmp_path, 1, {"signals": 1, "days": 300, "samples": 4, "tail": 30})
+    assert state["items"] == 300 * len(workloads.long_formulas())

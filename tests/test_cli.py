@@ -69,6 +69,22 @@ def test_check_each_lists_records(dataset, capsys):
     assert sum(1 for ln in lines if "\t" in ln) == 200
 
 
+def test_check_each_escapes_line_breaks_and_tabs_in_ids(tmp_path, capsys):
+    """Each record is one id<TAB>verdict line: CR, LF and tab in an id are
+    written as escapes, and every other character as it is."""
+    ids = ['"p\n1"', "p\t2", '"p\r3"', '"p\r\n4"', "p 5\\n", '"p,""6"\u00e9']
+    path = tmp_path / "odd.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("product_id,category,pos_0,pos_1,impressions,clicks,purchases\n")
+        fh.writelines(f"{pid},c,5,5,1,1,1\n" for pid in ids)
+    assert main(["check", "-i", str(path), "--formula", "x > 1", "--each"]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "p\\n1\tsatisfied", "p\\t2\tsatisfied", "p\\r3\tsatisfied", "p\\r\\n4\tsatisfied",
+        "p 5\\n\tsatisfied", "p,\"6\u00e9\tsatisfied",
+        "formula: x > 1", "satisfied 6/6 (1.0000)", "",
+    ]
+
+
 def test_check_reads_a_number_in_exponent_form(dataset, capsys):
     assert main(["check", "-i", str(dataset), "--formula", "G[0,3](abs(d1(x)) < 1e-5)"]) == 0
     assert "formula: G[0,3](abs(d1(x)) < 1e-05)" in capsys.readouterr().out
@@ -429,6 +445,12 @@ def test_generate_invalid_mix(tmp_path, capsys):
         ["generate", "-o", str(tmp_path / "x.csv"), "--n", "10", "--mix", "flat"]
     )
     assert code == 2
+    # A repeated pattern is named, not overwritten by its last share.
+    for mix in ("flat=1,flat=0", "flat=0.5, flat=0.5"):
+        capsys.readouterr()
+        assert main(["generate", "-o", str(tmp_path / "x.csv"), "--n", "10", "--mix", mix]) == 2
+        assert "pattern 'flat' is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])

@@ -216,3 +216,33 @@ def test_word_and_prefix_algebras_agree_on_every_day(n, f, seed):
             w = TraceSet([Trace(name, grid, values[r]) for name, values in channels.items()])
             naive = [eval_naive(f, w, t, until_strict=strict) for t in range(n)]
             assert days[0][r].tolist() == naive
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    longer=st.sampled_from(["x", "y", None]),
+    f=st_formulas(["x", "y"], until=True, intervals=st_wide_intervals()),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, longer="y", f=EVERY_OPERATOR, seed=7)
+@example(n=65, longer=None, f=EVERY_OPERATOR, seed=8)
+def test_a_trace_set_evaluates_as_its_channel_map(n, longer, f, seed):
+    """A plain channel map and the `TraceSet` of equal `Trace`s give the
+    same verdict on every day in `eval_fast` and `eval_naive`, and day 0 is
+    what `eval_rows` gives on the one-row stack. Either channel may be one
+    day longer than the other."""
+    rng = np.random.default_rng(seed)
+    channels = {name: rng.integers(-3, 4, size=n + int(name == longer)).astype(np.float64)
+                for name in ("x", "y")}
+    w = TraceSet([Trace(name, np.arange(values.size), values)
+                  for name, values in channels.items()])
+    stack = {name: values[np.newaxis] for name, values in channels.items()}
+    for strict in (False, True):
+        fast = eval_fast(f, channels, until_strict=strict)
+        assert np.array_equal(fast.times, eval_fast(f, w, until_strict=strict).times)
+        assert fast.per_time.tolist() == eval_fast(f, w, until_strict=strict).per_time.tolist()
+        for t in fast.times.tolist():
+            naive = eval_naive(f, channels, t, until_strict=strict)
+            assert naive is eval_naive(f, w, t, until_strict=strict) is bool(fast.per_time[t])
+        assert eval_rows(f, stack, until_strict=strict).tolist() == [fast.satisfied]

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_derivative_flags_sentinel_neighbors():
 
 def test_a_one_day_signal_has_no_derivative_channel():
     w = traceset_from_positions([3.0])
-    assert w.channels == ("x",) and w["x"].values.tolist() == [3.0]
+    assert tuple(w) == ("x",) and w["x"].tolist() == [3.0]
     assert list(position_channels([[3.0], [-1.0]])) == ["x"]
     assert list(position_channels([3.0, 4.0])) == ["x", "d1(x)"]
     with pytest.raises(DatasetError, match="need at least two positions for a derivative"):
@@ -99,8 +100,8 @@ def test_to_traceset_grids():
     w = to_traceset(record(range(1, 15)))
     assert len(w["x"]) == 14
     assert len(w["d1(x)"]) == 13
-    assert list(w["x"].times[:3]) == [0, 1, 2]
-    assert list(w["d1(x)"].values) == [1.0] * 13
+    assert list(w["x"][:3]) == [1.0, 2.0, 3.0]
+    assert list(w["d1(x)"]) == [1.0] * 13
 
 
 def test_filter_complete_drops_missing_rows():
@@ -260,6 +261,20 @@ def test_generator_counts_are_exact_per_category():
             if c == code:
                 counts[ds.planted[pid]] = counts.get(ds.planted[pid], 0) + 1
         assert counts == {"cold": 30, "flat": 50, "spiky": 20}
+
+
+def test_generator_skips_the_categories_left_empty(tmp_path):
+    """With more categories than records, the empty ones change no byte
+    and cost no time."""
+    out = []
+    for categories in (10, 10**6):
+        start = time.perf_counter()
+        ds = generate(GeneratorConfig(n_records=10, pattern_mix={"flat": 1.0},
+                                      category_count=categories))
+        assert time.perf_counter() - start < 1.0
+        write_csv(ds, str(tmp_path / "data.csv"))
+        out.append((tmp_path / "data.csv").read_bytes())
+    assert out[0] == out[1]
 
 
 def test_generator_config_validation():

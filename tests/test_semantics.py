@@ -22,7 +22,6 @@ from stlrank import (
     Until,
     Var,
     desugar,
-    eval_expr,
     eval_fast,
     eval_naive,
     eval_rows,
@@ -147,7 +146,7 @@ def test_unknown_channel_raises():
     with pytest.raises(UnknownChannelError):
         eval_fast(cmp(">", 0, "y"), w)
     with pytest.raises(UnknownChannelError):
-        eval_expr(Var("y"), w, 0)
+        eval_naive(cmp(">", 0, "y"), w, 0)
 
 
 def test_no_channels_to_evaluate_on_raises():
@@ -180,19 +179,47 @@ def test_row_channels_may_be_nested_lists():
     assert got.tolist() == [True, False]
 
 
-def test_eval_expr_arithmetic():
-    w = TraceSet(
-        [Trace("x", [0, 1], [3.0, 4.0]), Trace("y", [0, 1], [10.0, 20.0])]
-    )
+def test_term_arithmetic():
+    """An atom `term == v` holds on exactly the days the term's value is v."""
+    w = {"x": np.array([3.0, 4.0]), "y": np.array([10.0, 20.0])}
     from stlrank import Abs, Add, Mul, Neg, Sub
 
-    assert eval_expr(Add(Var("x"), Var("y")), w, 1) == 24.0
-    assert eval_expr(Mul(Var("x"), Const(2.0)), w, 0) == 6.0
-    assert eval_expr(Sub(Var("y"), Var("x")), w, 0) == 7.0
-    assert eval_expr(Neg(Var("x")), w, 0) == -3.0
-    assert eval_expr(Abs(Sub(Var("x"), Var("y"))), w, 1) == 16.0
+    for term, values in [
+        (Add(Var("x"), Var("y")), [13.0, 24.0]),
+        (Mul(Var("x"), Const(2.0)), [6.0, 8.0]),
+        (Sub(Var("y"), Var("x")), [7.0, 16.0]),
+        (Neg(Var("x")), [-3.0, -4.0]),
+        (Abs(Sub(Var("x"), Var("y"))), [7.0, 16.0]),
+    ]:
+        for t, value in enumerate(values):
+            f = Atom(Predicate(term, "==", Const(value)))
+            assert eval_naive(f, w, t)
+            assert per_time(f, w) == [v == value for v in values]
     with pytest.raises(SampleTimeError):
-        eval_expr(Var("x"), w, 2)
+        eval_naive(Atom(Predicate(Var("x"), "==", Const(3.0))), w, 2)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.zeros(0), "channel 'x' has no days"),
+        (np.zeros((1, 2)), "channel 'x': values must be 1-d"),
+        ([1.0, np.nan], "channel 'x': values must be finite"),
+        ([np.inf, 1.0], "channel 'x': values must be finite"),
+        ([1.0, -np.inf], "channel 'x': values must be finite"),
+        (["a", "b"], "channel 'x': could not convert"),
+    ],
+)
+def test_malformed_trace_channels_raise_evaluation_error(values, message):
+    """The one-trace evaluators check the channels a formula reads as
+    `eval_rows` checks its matrices, and also that each is 1-d; they leave
+    the others unread."""
+    channels = {"x": values, "y": np.zeros(2)}
+    f = And(cmp(">", 0, "x"), cmp("<", 1, "y"))
+    for evaluate in (eval_fast, eval_naive, evaluation_grid):
+        with pytest.raises(EvaluationError, match=message):
+            evaluate(f, channels)
+    assert per_time(cmp("<", 1, "y"), channels) == [True, True]
 
 
 def test_naive_rejects_off_grid_time():
@@ -212,7 +239,7 @@ def test_fast_matches_naive_on_random_formulas():
         for strict in (False, True):
             fast = per_time(f, w, until_strict=strict)
             naive = naive_per_time(f, w, until_strict=strict)
-            assert fast == naive, (f, w["x"].values, w["y"].values, strict)
+            assert fast == naive, (f, w["x"], w["y"], strict)
 
 
 def test_desugar_preserves_per_time_semantics():

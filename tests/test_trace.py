@@ -5,14 +5,9 @@ from stlrank import Trace, TraceError, TraceSet
 
 def test_trace_basic_accessors():
     t = Trace("x", [0, 1, 2], [5.0, 4.0, 3.0])
-    assert len(t) == 3
     assert t.channel == "x"
-    assert t.has_time(1) and t.has_time(1.0)
-    assert not any(t.has_time(d) for d in (-1, 3, 0.5))
-    assert t.value_at(2) == 3.0
-    for d in (-1, 3, 0.5):
-        with pytest.raises(TraceError):
-            t.value_at(d)
+    assert t.times.tolist() == [0, 1, 2] and t.values.tolist() == [5.0, 4.0, 3.0]
+    assert repr(t) == "Trace('x', n=3)"
 
 
 def test_trace_rejects_bad_shapes():
@@ -47,15 +42,21 @@ def test_trace_arrays_are_readonly():
 
 
 def test_traceset_lookup_and_membership():
-    w = TraceSet([Trace("x", [0, 1], [1.0, 2.0]), Trace("y", [0], [0.0])])
-    assert set(w.channels) == {"x", "y"}
+    """A trace set is the channel map of its traces."""
+    x, y = Trace("x", [0, 1], [1.0, 2.0]), Trace("y", [0], [0.0])
+    w = TraceSet([x, y])
+    assert isinstance(w, dict) and tuple(w) == ("x", "y")
     assert "x" in w and "z" not in w
-    assert w["y"].value_at(0) == 0.0
-    with pytest.raises(TraceError):
+    assert w["x"] is x.values and w["y"].tolist() == [0.0]
+    with pytest.raises(KeyError):
         w["z"]
 
 
 def test_traceset_rejects_duplicate_channels():
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="duplicate channel 'x'"):
         TraceSet([Trace("x", [0], [1.0]), Trace("x", [0], [2.0])])
+    with pytest.raises(TraceError, match="not a Trace"):
+        TraceSet([("x", [1.0])])
+    with pytest.raises(TraceError, match="at least one trace"):
+        TraceSet([])
 
