@@ -9,7 +9,7 @@ CLI.
 
 __version__ = "0.1.0"
 
-from .core import (
+from .core.formula import (
     Abs,
     Add,
     And,
@@ -30,24 +30,24 @@ from .core import (
     Predicate,
     Sub,
     TRUE,
-    Trace,
-    TraceError,
-    TraceSet,
     TrueFormula,
     Until,
     Var,
-    Verdict,
+    channels_of,
+    desugar,
+    operator_count,
+)
+from .core.semantics import (
     EvaluationError,
     SampleTimeError,
     UnknownChannelError,
-    channels_of,
-    desugar,
+    Verdict,
     eval_fast,
     eval_naive,
     eval_rows,
     evaluation_grid,
-    operator_count,
 )
+from .core.trace import Trace, TraceError, TraceSet
 from .parser import ParseError, SourceSpan, parse_formula, print_formula
 from .props import (
     PROPERTY_NAMES,

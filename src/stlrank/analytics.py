@@ -18,7 +18,6 @@ what centroid averaging does to short-lived excursions.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
@@ -47,12 +46,11 @@ from .core.formula import (
     operator_count,
 )
 from .core.semantics import _checked, _evaluate, eval_predicate
-from .ingest import COUNTERS, MISSING, OVERALL, Dataset, position_channels
+from .ingest import COUNTERS, MISSING, OVERALL, Dataset, _write_csv_rows, position_channels
 from .parser import _fmt_num, print_formula
 from .props import PropertySpec
 
 __all__ = [
-    "OVERALL",
     "ExpansionError",
     "ExpansionReport",
     "GAnd",
@@ -89,11 +87,9 @@ def _render_columns(headers: Sequence[str], cells: Sequence[Sequence[str]], left
 
 
 def _csv_text(headers: Sequence[str], cells: Sequence[Sequence[str]]) -> str:
-    """CSV as `write_csv` writes it: quoted where needed, "\n" line ends."""
+    """CSV as `write_csv` writes it."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(cells)
+    _write_csv_rows(buf, headers, cells, itertools.chain.from_iterable(cells))
     return buf.getvalue()
 
 

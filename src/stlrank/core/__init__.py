@@ -1,83 +1,4 @@
-"""Core signal model, formula syntax, and evaluators."""
-
-from .formula import (
-    FULL,
-    Abs,
-    Add,
-    And,
-    Atom,
-    Const,
-    Eventually,
-    FALSE,
-    FalseFormula,
-    Formula,
-    FormulaError,
-    Globally,
-    Implies,
-    Interval,
-    Mul,
-    Neg,
-    Not,
-    Or,
-    Predicate,
-    Sub,
-    TRUE,
-    TrueFormula,
-    Until,
-    Var,
-    channels_of,
-    desugar,
-    operator_count,
-)
-from .semantics import (
-    EvaluationError,
-    SampleTimeError,
-    UnknownChannelError,
-    Verdict,
-    eval_fast,
-    eval_rows,
-    eval_naive,
-    evaluation_grid,
-)
-from .trace import Trace, TraceError, TraceSet
-
-__all__ = [
-    "FULL",
-    "Abs",
-    "Add",
-    "And",
-    "Atom",
-    "Const",
-    "Eventually",
-    "FALSE",
-    "FalseFormula",
-    "Formula",
-    "FormulaError",
-    "Globally",
-    "Implies",
-    "Interval",
-    "Mul",
-    "Neg",
-    "Not",
-    "Or",
-    "Predicate",
-    "Sub",
-    "TRUE",
-    "TrueFormula",
-    "Until",
-    "Var",
-    "channels_of",
-    "desugar",
-    "operator_count",
-    "EvaluationError",
-    "SampleTimeError",
-    "UnknownChannelError",
-    "Verdict",
-    "eval_fast",
-    "eval_rows",
-    "eval_naive",
-    "evaluation_grid",
-    "Trace",
-    "TraceError",
-    "TraceSet",
-]
+"""The evaluator's modules: `formula` (the syntax tree), `semantics` (the
+evaluators), `kernels` (their window scans) and `trace` (kept for the
+benchmark). The package re-exports none of their names: the public names
+are `stlrank.<name>`."""

@@ -70,6 +70,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -79,6 +80,7 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "GeneratorConfig",
+    "OVERALL",
     "ProductRecord",
     "SchemaError",
     "derivative_values",
@@ -504,17 +506,26 @@ def _is_jsonl(path) -> bool:
 def load_dataset(path) -> Dataset:
     """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`: by the
     format's bulk path, or by its row path when the bulk path declines. The
-    file gives the day count: the CSV header, or the first JSONL record."""
-    path = os.fspath(path)
+    file gives the day count: the CSV header, or the first JSONL record.
+    A file that is not UTF-8 is a SchemaError naming its first bad byte's line."""
     if _is_jsonl(path):
         bulk, by_row, newline = _bulk_jsonl, _jsonl_rows, None
     else:
         bulk, by_row, newline = _bulk_csv, _csv_rows, ""
-    with open(path, "r", newline=newline, encoding="utf-8") as fh:
-        columns = bulk(fh)
-        if columns is None:
-            fh.seek(0)
-            columns = by_row(fh)
+    try:
+        with open(path, "r", newline=newline, encoding="utf-8") as fh:
+            columns = bulk(fh)
+            if columns is None:
+                fh.seek(0)
+                columns = by_row(fh)
+    except UnicodeDecodeError:  # at a position in the reader's decode chunk
+        try:
+            with open(path, "rb") as fh:
+                fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:  # at the first bad byte of the file
+            line = len(exc.object[:exc.start + 1].splitlines())
+            raise SchemaError(f"row {line}: {exc}") from None
+        raise
     return Dataset._from_columns(columns)
 
 
@@ -534,14 +545,26 @@ def _rows_out(ds: Dataset):
     )
 
 
+def _write_csv_rows(fh, header: Sequence[str], rows: Iterable[Sequence],
+                    texts: Iterable[str]) -> None:
+    """Write `header` and `rows`, whose text fields are all in `texts`, as
+    every CSV of this package: "\n" line ends, and a field quoted when it
+    holds a comma, a quote, "\n" or "\r". csv.writer quotes "\r" only when its
+    line terminator holds one: then rows end in "\r\n", cut to "\n" on write."""
+    target, end = fh, "\n"
+    if "\r" in "".join(chain(header, texts)):
+        target, end = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")), "\r\n"
+    writer = csv.writer(target, lineterminator=end)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def write_csv(ds: Dataset, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(ds.positions.shape[1]))
-        writer.writerows(
+        _write_csv_rows(fh, _header(ds.positions.shape[1]), (
             [pid, category, *positions, *counts]
-            for pid, category, positions, counts in _rows_out(ds)
-        )
+            for pid, category, positions, counts in _rows_out(ds)),
+            chain(ds.ids, ds.categories))
 
 
 def write_jsonl(ds: Dataset, path: str) -> None:
@@ -562,9 +585,9 @@ def write_labels(ds: Dataset, path: str) -> None:
     if ds.planted is None:
         raise DatasetError("dataset carries no planted-pattern labels")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["product_id", "planted_pattern"])
-        writer.writerows([pid, ds.planted[pid]] for pid in ds.ids)
+        _write_csv_rows(fh, ["product_id", "planted_pattern"],
+                        ([pid, ds.planted[pid]] for pid in ds.ids),
+                        chain(ds.ids, ds.planted.values()))
 
 
 # ---------------------------------------------------------------------------

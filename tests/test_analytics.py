@@ -27,11 +27,10 @@ from stlrank import (
 )
 from stlrank.analytics import (
     MAX_GROUNDED_NODES,
-    OVERALL,
     centroids_plot_data,
     rates_plot_data,
 )
-from stlrank.ingest import SchemaError, derivative_values
+from stlrank.ingest import OVERALL, SchemaError, derivative_values
 
 MIX = {"cold": 0.3, "flat": 0.5, "spiky": 0.2}
 

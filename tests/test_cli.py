@@ -25,6 +25,7 @@ from stlrank import (
     print_formula,
     write_csv,
 )
+from stlrank.analytics import centroids_plot_data
 from stlrank.ingest import write_dataset
 from stlrank.cli import _PARAM_HELP, build_parser, main
 
@@ -256,6 +257,68 @@ def test_malformed_rows_pin_their_error_text(fmt, overrides, message, tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+CSV_HEADER = ",".join(["product_id", "category", *(f"pos_{i}" for i in range(14)),
+                       "impressions", "clicks", "purchases"]) + "\n"
+CSV_ROWS = "".join(f"p{i:03d},c0," + "5," * 14 + "10,1,0\n" for i in range(300))
+JSONL_ROW = '{"product_id":"p1","category":"c0","positions":[%s],' % ",".join(["5"] * 14) + (
+    '"impressions":10,"clicks":1,"purchases":0}\n')
+
+# Malformed files, as raw bytes: (file name, content, the whole stderr). The
+# byte 0xff is never UTF-8; p250 starts at byte 10,887, past the text
+# reader's first 8 KiB decode chunk.
+MALFORMED_FILES = [
+    ("empty.csv", b"", "error: empty.csv: empty file\n"),
+    ("list.jsonl", b"[1]\n", "error: row 1: expected an object\n"),
+    ("header.csv", (CSV_HEADER + CSV_ROWS).encode().replace(b"_id", b"\xffid"),
+     "error: row 1: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"),
+    ("late.csv", (CSV_HEADER + CSV_ROWS).encode().replace(b"p250", b"\xff250"),
+     "error: row 252: 'utf-8' codec can't decode byte 0xff in position 10887:"
+     " invalid start byte\n"),
+    ("row.jsonl", (JSONL_ROW + JSONL_ROW.replace("p1", "p2").replace("c0", "c\xe9"))
+     .encode("latin-1"),
+     "error: row 2: 'utf-8' codec can't decode byte 0xe9 in position 152:"
+     " invalid continuation byte\n"),
+]
+
+
+@pytest.mark.parametrize("name, content, err", MALFORMED_FILES,
+                         ids=[name for name, _, _ in MALFORMED_FILES])
+def test_malformed_files_pin_their_error_text(name, content, err, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    assert main(["check", "-i", name, "--property", "ditch", "--each"]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# CLI paths no other test reaches: (argv, exit code, stdout, stderr), run
+# where f.stl holds "x < 6" and twins.csv three records, two of them equal.
+CLI_PATHS = [
+    (["check", "-i", "twins.csv", "--formula-file", "f.stl"], 0,
+     "formula: x < 6\nsatisfied 2/3 (0.6667)\n", ""),
+    (["generate", "-o", "x.csv", "--n", "10", "--mix", "flat=abc"], 2, "",
+     "error: bad --mix entry 'flat=abc': 'abc' is not a number\n"),
+    (["expand", "--property", "ditch", "--horizon", "-1"], 2, "",
+     "error: horizon must be non-negative\n"),
+    (["kmeans", "-i", "twins.csv", "--k", "3"], 2, "",
+     "error: fewer than k=3 distinct records to seed centroids\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", CLI_PATHS,
+                         ids=["formula-file", "mix-not-a-number", "negative-horizon",
+                              "kmeans-k-distinct"])
+def test_cli_paths_pin_exit_code_and_output(argv, code, out, err, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.stl").write_text("x < 6\n")
+    (tmp_path / "twins.csv").write_text(
+        CSV_HEADER + "".join(CSV_ROWS.splitlines(True)[:2]) + "p002,c0," + "7," * 14 + "10,1,0\n")
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_kmeans_on_a_file_with_no_records(tmp_path, capsys):
@@ -526,13 +589,18 @@ def test_kmeans_summary(tmp_path, capsys):
         ]
     )
     cent = tmp_path / "centroids.csv"
-    code = main(["kmeans", "-i", str(data), "--k", "4", "--seed", "5", "-o", str(cent)])
+    plot = tmp_path / "centroids.dat"
+    code = main(["kmeans", "-i", str(data), "--k", "4", "--seed", "5", "-o", str(cent),
+                 "--emit-plot-data", str(plot)])
     assert code == 0
     out = capsys.readouterr().out
     assert "centroids satisfying ditch or spike:" in out
     lines = cent.read_text().splitlines()
     assert lines[0].startswith("centroid,pos_0,")
     assert len(lines) == 5
+    result = cluster_kmeans(load_dataset(str(data)), k=4, seed=5)
+    assert plot.read_text() == centroids_plot_data(result)
+    assert plot.read_text().splitlines()[0] == "# day c0 c1 c2 c3"
 
 
 def test_rates_and_metrics_csv_quote_fields(tmp_path, capsys):
@@ -824,12 +892,25 @@ def unparsed(commands):
     return bad
 
 
+def readme_text():
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_readme_commands_parse(capsys):
     """A removed or renamed flag cannot leave the README stale."""
-    readme = os.path.join(os.path.dirname(SRC), "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        commands = readme_commands(fh.read())
+    commands = readme_commands(readme_text())
     assert len(commands) >= 7
     assert unparsed(commands) == []
     stale = "```sh\npython -m stlrank rates -i data.csv \\\n    --days 10\n```\n"
     assert unparsed(readme_commands(stale)) == [["rates", "-i", "data.csv", "--days", "10"]]
+
+
+def test_readme_python_examples_run(capsys):
+    """A removed or renamed name or import path cannot leave the README's
+    Python stale: each fenced python block runs and prints its pinned output."""
+    outputs = []
+    for block in re.findall(r"^```python\n(.*?)^```", readme_text(), flags=re.M | re.S):
+        exec(compile(block, "README.md", "exec"), {})
+        outputs.append(capsys.readouterr().out)
+    assert outputs == ["True\n"]

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import time
 from pathlib import Path
@@ -21,6 +22,7 @@ from stlrank import (
     generate,
     load_dataset,
     position_channels,
+    satisfaction_rates,
     to_traceset,
     traceset_from_positions,
     write_csv,
@@ -151,6 +153,30 @@ def test_csv_quotes_text_fields_and_round_trips(tmp_path):
     assert labels.read_bytes() == (
         b'product_id,planted_pattern\n"a,""b",flat\n"line\nbreak",flat\nplain,missing\n'
     )
+
+
+def test_csv_writers_quote_a_lone_carriage_return(tmp_path):
+    """csv.writer with "\n" line ends leaves a field holding "\r" bare, so
+    each CSV writer must quote it for the file to read back."""
+    ds = Dataset([record([5.0] * 14, pid="p\r3", category="c\r1"), record([5.0] * 14)],
+                 planted={"p\r3": "flat", "p1": "flat"})
+    path = tmp_path / "a.csv"
+    write_csv(ds, str(path))
+    assert path.read_bytes().split(b"\n")[1].startswith(b'"p\r3","c\r1",5,')
+    loaded = load_dataset(str(path))
+    assert (loaded.ids, loaded.categories) == (["p\r3", "p1"], ["c\r1", "c0"])
+
+    labels = tmp_path / "a.labels.csv"
+    write_labels(ds, str(labels))
+    with open(labels, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [
+            ["product_id", "planted_pattern"], ["p\r3", "flat"], ["p1", "flat"]]
+
+    table = satisfaction_rates(ds, [build("flat_start")])
+    rows = list(csv.reader(io.StringIO(table.to_csv_text(), newline="")))
+    assert [row[:2] for row in rows] == [
+        ["category", "property"], ["c\r1", "flat_start"], ["c0", "flat_start"],
+        ["(all)", "flat_start"]]
 
 
 def test_jsonl_roundtrip_is_byte_identical(tmp_path):
@@ -425,8 +451,8 @@ FUZZ_BASE = generate(
 )
 CSV_TEXTS = ["nan", "inf", "-inf", "-2", "-1", "0", "0.5", "1.5", "", " 7 ", "abc", "1e400",
              "9" * 30, "True", "null"]
-JSON_VALUES = [None, True, False, "5", "", "x", [], [1], {}, 10 ** 400, 10 ** 30, -2, -1, 0,
-               0.5, 1.5, 7, float("nan"), float("inf")]
+JSON_VALUES = [None, True, False, "5", "", "x", "p\r3", [], [1], {}, 10 ** 400, 10 ** 30, -2,
+               -1, 0, 0.5, 1.5, 7, float("nan"), float("inf")]
 
 
 def st_edits(values):
@@ -480,6 +506,7 @@ def test_mutated_csv_rows_load_or_name_their_row(row, edits, tmp_path):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(row=st.integers(0, 2), in_positions=st.booleans(), edits=st_edits(JSON_VALUES))
+@example(row=1, in_positions=False, edits=[("replace", 0, "p\r3")])
 def test_mutated_jsonl_rows_load_or_name_their_row(row, in_positions, edits, tmp_path):
     path = tmp_path / "fuzz.jsonl"
     write_jsonl(FUZZ_BASE, str(path))
