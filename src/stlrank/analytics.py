@@ -89,7 +89,7 @@ def _render_columns(headers: Sequence[str], cells: Sequence[Sequence[str]], left
 def _csv_text(headers: Sequence[str], cells: Sequence[Sequence[str]]) -> str:
     """CSV as `write_csv` writes it."""
     buf = io.StringIO()
-    _write_csv_rows(buf, headers, cells, itertools.chain.from_iterable(cells))
+    _write_csv_rows(buf, headers, cells)
     return buf.getvalue()
 
 

@@ -63,6 +63,7 @@ across patterns.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -407,18 +408,19 @@ def _bulk_csv(fh) -> tuple | None:
     return columns if columns is not None and columns[3].shape[1] == days else None
 
 
+def _csv_records(fh):
+    """(row number, cells) per record of the CSV file `fh`, from 1."""
+    row_no = 0
+    try:  # csv.Error: a cell longer than csv.field_size_limit()
+        for row_no, cells in enumerate(csv.reader(fh), start=1):
+            yield row_no, cells
+    except csv.Error as exc:
+        raise SchemaError(f"row {row_no + 1}: {exc}") from None
+
+
 def _csv_rows(fh) -> tuple:
     """The `Dataset` columns of the CSV file `fh`, read and checked row by row."""
-
-    def numbered_rows():
-        row_no = 0
-        try:  # csv.Error: a cell longer than csv.field_size_limit()
-            for row_no, cells in enumerate(csv.reader(fh), start=1):
-                yield row_no, cells
-        except csv.Error as exc:
-            raise SchemaError(f"row {row_no + 1}: {exc}") from None
-
-    rows = numbered_rows()
+    rows = _csv_records(fh)
     _, first = next(rows, (1, None))
     if first is None:
         raise SchemaError(f"{fh.name}: empty file")
@@ -507,11 +509,11 @@ def load_dataset(path) -> Dataset:
     """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`: by the
     format's bulk path, or by its row path when the bulk path declines. The
     file gives the day count: the CSV header, or the first JSONL record.
-    A file that is not UTF-8 is a SchemaError naming its first bad byte's line."""
+    A file that is not UTF-8 is a SchemaError naming its first bad byte's row."""
     if _is_jsonl(path):
-        bulk, by_row, newline = _bulk_jsonl, _jsonl_rows, None
+        bulk, by_row, records, newline = _bulk_jsonl, _jsonl_rows, iter, None
     else:
-        bulk, by_row, newline = _bulk_csv, _csv_rows, ""
+        bulk, by_row, records, newline = _bulk_csv, _csv_rows, _csv_records, ""
     try:
         with open(path, "r", newline=newline, encoding="utf-8") as fh:
             columns = bulk(fh)
@@ -523,8 +525,11 @@ def load_dataset(path) -> Dataset:
             with open(path, "rb") as fh:
                 fh.read().decode("utf-8")
         except UnicodeDecodeError as exc:  # at the first bad byte of the file
-            line = len(exc.object[:exc.start + 1].splitlines())
-            raise SchemaError(f"row {line}: {exc}") from None
+            # The rows before it, numbered as the row path numbers them; the
+            # "x" starts the bad byte's row when no row is open.
+            head = io.StringIO(exc.object[:exc.start].decode("utf-8") + "x", newline=newline)
+            row_no = sum(1 for _ in records(head))
+            raise SchemaError(f"row {row_no}: {exc}") from None
         raise
     return Dataset._from_columns(columns)
 
@@ -545,16 +550,13 @@ def _rows_out(ds: Dataset):
     )
 
 
-def _write_csv_rows(fh, header: Sequence[str], rows: Iterable[Sequence],
-                    texts: Iterable[str]) -> None:
-    """Write `header` and `rows`, whose text fields are all in `texts`, as
-    every CSV of this package: "\n" line ends, and a field quoted when it
-    holds a comma, a quote, "\n" or "\r". csv.writer quotes "\r" only when its
-    line terminator holds one: then rows end in "\r\n", cut to "\n" on write."""
-    target, end = fh, "\n"
-    if "\r" in "".join(chain(header, texts)):
-        target, end = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")), "\r\n"
-    writer = csv.writer(target, lineterminator=end)
+def _write_csv_rows(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header` and `rows` as every CSV of this package: "\n" line ends,
+    and a field quoted when it holds a comma, a quote, "\n" or "\r".
+    csv.writer quotes "\r" only when its line terminator holds one, so it
+    ends rows in "\r\n", cut to "\n" on the way to `fh`."""
+    writer = csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                        lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
 
@@ -563,8 +565,7 @@ def write_csv(ds: Dataset, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_csv_rows(fh, _header(ds.positions.shape[1]), (
             [pid, category, *positions, *counts]
-            for pid, category, positions, counts in _rows_out(ds)),
-            chain(ds.ids, ds.categories))
+            for pid, category, positions, counts in _rows_out(ds)))
 
 
 def write_jsonl(ds: Dataset, path: str) -> None:
@@ -586,8 +587,7 @@ def write_labels(ds: Dataset, path: str) -> None:
         raise DatasetError("dataset carries no planted-pattern labels")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_csv_rows(fh, ["product_id", "planted_pattern"],
-                        ([pid, ds.planted[pid]] for pid in ds.ids),
-                        chain(ds.ids, ds.planted.values()))
+                        ([pid, ds.planted[pid]] for pid in ds.ids))
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,8 @@ JSONL_ROW = '{"product_id":"p1","category":"c0","positions":[%s],' % ",".join(["
 
 # Malformed files, as raw bytes: (file name, content, the whole stderr). The
 # byte 0xff is never UTF-8; p250 starts at byte 10,887, past the text
-# reader's first 8 KiB decode chunk.
+# reader's first 8 KiB decode chunk. In quoted.csv the id of row 2 holds a
+# "\r", so row 4 starts on line 5; a schema fault there names row 4 too.
 MALFORMED_FILES = [
     ("empty.csv", b"", "error: empty.csv: empty file\n"),
     ("list.jsonl", b"[1]\n", "error: row 1: expected an object\n"),
@@ -275,6 +276,10 @@ MALFORMED_FILES = [
      "error: row 1: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"),
     ("late.csv", (CSV_HEADER + CSV_ROWS).encode().replace(b"p250", b"\xff250"),
      "error: row 252: 'utf-8' codec can't decode byte 0xff in position 10887:"
+     " invalid start byte\n"),
+    ("quoted.csv", (CSV_HEADER + CSV_ROWS).encode().replace(b"p000,", b'"p\r000",')
+     .replace(b"p002", b"\xff002"),
+     "error: row 4: 'utf-8' codec can't decode byte 0xff in position 226:"
      " invalid start byte\n"),
     ("row.jsonl", (JSONL_ROW + JSONL_ROW.replace("p1", "p2").replace("c0", "c\xe9"))
      .encode("latin-1"),
