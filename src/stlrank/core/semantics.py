@@ -37,12 +37,12 @@ O(n * |formula|). Both evaluators agree bit for bit at every day.
 
 The walk is written once over a value algebra: how a node's value is held,
 and the operations atom, const, neg, any, all and until on it (and/or are
-numpy's & and |). There are two, with their kernels in `kernels`:
+numpy's & and |). There are two:
 
 * `Prefix` holds a node as a boolean array over the days, the window passes
-  reading prefix sums;
+  reading prefix sums through the day-array kernels of `kernels`;
 * `Words` holds a node as one unsigned machine word per trace, bit k for
-  day k, the window passes being whole-word shifts, ANDs and ORs.
+  day k, and holds its own kernels: whole-word shifts, ANDs and ORs.
 
 A grid of n <= 64 days takes `Words`, a longer one `Prefix`; the choice
 follows from n alone, and both give the same verdicts. The walk keeps each
@@ -226,13 +226,25 @@ class Prefix:
 
 class Words:
     """Node values as one unsigned word per trace (...), bit k for day k,
-    with the word kernels; for grids of n <= 64 days."""
+    for grids of n <= 64 days: the smallest of uint8/16/32/64 that holds n
+    bits (uint64 words made the library's batched evaluation a quarter
+    slower on 14-day grids), bits n and up 0. A window (a, b), 0 <= a, is a
+    few whole-word shifts, ANDs and ORs (the shift-or of Baeza-Yates &
+    Gonnet, CACM 1992); every shift stays below n, so below the word's
+    width, where numpy's shifts are defined."""
 
     def __init__(self, lead: tuple, n: int) -> None:
-        self.lead, self.n, self.mask = lead, n, kernels.word_mask(n)
+        word = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                    if np.dtype(t).itemsize * 8 >= n)
+        # The n low bits; Python ints do not overflow at n = 64.
+        self.lead, self.n, self.mask = lead, n, word((1 << n) - 1)
 
     def atom(self, days: np.ndarray) -> np.ndarray:
-        return kernels.pack_words(days)
+        """Boolean days (..., n) as words (...): bit k is day k."""
+        out = np.zeros(days.shape[:-1], self.mask.dtype)
+        for k in range(self.n):
+            out |= days[..., k].astype(self.mask.dtype) << k
+        return out
 
     def const(self, value: bool) -> np.ndarray:
         return np.full(self.lead, self.mask if value else 0, self.mask.dtype)
@@ -241,19 +253,43 @@ class Words:
         return v ^ self.mask
 
     def any(self, v, a: int, b: int):
-        return kernels.words_any(v, a, b, self.n)
+        """Bit k is any(v bits k + a .. k + b), days past n - 1 being
+        False: ORs of shifted copies that double the span they cover,
+        O(log(b - a + 1)) word operations."""
+        b = min(b, self.n - 1)
+        if a > b:
+            return np.zeros_like(v)
+        # Bit j of `out` is any(v bits j .. j + covered - 1).
+        out, covered, span = v, 1, b - a + 1
+        while covered < span:
+            step = min(covered, span - covered)
+            out = out | (out >> step)
+            covered += step
+        return out >> a
 
     def all(self, v, a: int, b: int):
-        return kernels.words_all(v, a, b, self.n)
+        return self.neg(self.any(self.neg(v), a, b))
 
     def until(self, f1, f2, a: int, b: int, strict: bool):
-        return kernels.words_until(f1, f2, a, b, strict, self.n)
+        """Bit k holds iff some j in k + a .. k + b has f2 bit j and f1 bits
+        k..j (k..j-1 if strict): one pass over the offsets s = 0..min(b,
+        n - 1), with a running AND of f1 shifted by each, O(min(b, n))."""
+        out = np.zeros_like(f2)
+        # Bit k of `before` is f1 on days k .. k + s - 1.
+        before = np.full_like(f1, self.mask)
+        for s in range(min(b, self.n - 1) + 1):
+            upto = before & (f1 >> s)
+            if s >= a:
+                out |= (f2 >> s) & (before if strict else upto)
+            before = upto
+        return out
 
     def day0(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v & 1, dtype=np.bool_)
 
     def days(self, v: np.ndarray) -> np.ndarray:
-        return kernels.unpack_words(v, self.n)
+        """Boolean days (..., n) of words (...): the inverse of `atom`."""
+        return ((v[..., None] >> np.arange(self.n, dtype=v.dtype)) & 1).astype(np.bool_)
 
 
 def _node_on_grid(

@@ -62,6 +62,7 @@ across patterns.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -505,11 +506,19 @@ def _is_jsonl(path) -> bool:
     return os.fspath(path).endswith((".jsonl", ".ndjson", ".json"))
 
 
+def _lines_then_raise(text: str, newline: str | None, exc: Exception):
+    """The lines of `text` up to its last line break, as a file opened with
+    `newline` reads them; then `exc` is raised."""
+    yield from io.StringIO(text[:max(map(text.rfind, "\r\n")) + 1], newline=newline)
+    raise exc
+
+
 def load_dataset(path) -> Dataset:
     """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`: by the
     format's bulk path, or by its row path when the bulk path declines. The
     file gives the day count: the CSV header, or the first JSONL record.
-    A file that is not UTF-8 is a SchemaError naming its first bad byte's row."""
+    A file that is not UTF-8 is a SchemaError naming its first bad row, or
+    else its first bad byte's row."""
     if _is_jsonl(path):
         bulk, by_row, records, newline = _bulk_jsonl, _jsonl_rows, iter, None
     else:
@@ -525,10 +534,13 @@ def load_dataset(path) -> Dataset:
             with open(path, "rb") as fh:
                 fh.read().decode("utf-8")
         except UnicodeDecodeError as exc:  # at the first bad byte of the file
+            head = exc.object[:exc.start].decode("utf-8")
+            # A bad row before the bad byte's row names itself first.
+            with contextlib.suppress(UnicodeDecodeError):
+                by_row(_lines_then_raise(head, newline, exc))
             # The rows before it, numbered as the row path numbers them; the
             # "x" starts the bad byte's row when no row is open.
-            head = io.StringIO(exc.object[:exc.start].decode("utf-8") + "x", newline=newline)
-            row_no = sum(1 for _ in records(head))
+            row_no = sum(1 for _ in records(io.StringIO(head + "x", newline=newline)))
             raise SchemaError(f"row {row_no}: {exc}") from None
         raise
     return Dataset._from_columns(columns)
@@ -585,6 +597,9 @@ def write_labels(ds: Dataset, path: str) -> None:
     """Planted-pattern sidecar: product_id,planted_pattern per record."""
     if ds.planted is None:
         raise DatasetError("dataset carries no planted-pattern labels")
+    unlabelled = next((pid for pid in ds.ids if pid not in ds.planted), None)
+    if unlabelled is not None:
+        raise DatasetError(f"record {unlabelled!r} has no planted-pattern label")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_csv_rows(fh, ["product_id", "planted_pattern"],
                         ([pid, ds.planted[pid]] for pid in ds.ids))

@@ -41,6 +41,8 @@ def test_satisfaction_rates_exact_on_planted_mix():
     assert table.overall("cold_start") == 0.3
     assert table.overall("flat_start") == 0.5
     assert table.rate("c0", "flat_start") == 0.5
+    with pytest.raises(KeyError):
+        table.rate("c0", "no_such_property")
     d = table.overall("ditch")
     s = table.overall("spike")
     assert d + s == pytest.approx(0.2)
@@ -70,6 +72,8 @@ def test_metric_distribution_means():
     assert table.mean("flat_start", "satisfied", "purchases") == 2.0
     # everything satisfies no_init_miss, so the violated group is empty
     assert math.isnan(table.mean("no_init_miss", "violated", "clicks"))
+    with pytest.raises(KeyError):
+        table.mean("flat_start", "satisfied", "returns")
     assert ",NA" in table.to_csv_text()
 
 
@@ -105,7 +109,7 @@ def test_expansion_pads_windows_past_the_horizon():
 
 def test_expansion_agrees_with_the_evaluators():
     rng = np.random.default_rng(23)
-    from stlrank.analytics import evaluate_grounded
+    from stlrank.analytics import GAtom, evaluate_grounded
 
     specs = [build(name) for name in ("flat_start", "cold_start", "steady_state", "reach", "ditch", "spike", "no_init_miss", "no_long_miss")]
     for _ in range(60):
@@ -121,6 +125,9 @@ def test_expansion_agrees_with_the_evaluators():
             assert evaluate_grounded(report.root, channels) == eval_naive(
                 spec.formula, w
             ), (spec.name, positions)
+    pred = parse_formula("x < 5").predicate
+    with pytest.raises(ExpansionError, match="^unknown channel 'x'$"):
+        evaluate_grounded(GAtom(pred, 0), {})
 
 
 def test_expansion_rejects_until_and_short_horizons():
@@ -211,6 +218,8 @@ def test_query_rejects_bad_arguments():
         expand_query("flat_start", 13, 2)
     with pytest.raises(ExpansionError):
         expand_query("ditch", 1, 2)
+    with pytest.raises(ExpansionError, match="^w must be at least 1$"):
+        expand_query("ditch", 5, 0)
 
 
 def separated_dataset():

@@ -285,6 +285,17 @@ MALFORMED_FILES = [
      .encode("latin-1"),
      "error: row 2: 'utf-8' codec can't decode byte 0xe9 in position 152:"
      " invalid continuation byte\n"),
+    # A bad row before the bad byte's row is the error, as in a UTF-8 file;
+    # a bad byte in the header still comes first.
+    ("first_bad_row.csv", (CSV_HEADER + "".join(CSV_ROWS.splitlines(True)[:4]))
+     .replace("p001,c0,5,", "p001,c0,zero,").encode().replace(b"p003,c0", b"p003,c\xff"),
+     "error: row 3: column 'pos_0': not a number: 'zero'\n"),
+    ("first_bad_row.jsonl", (JSONL_ROW.replace("[5,5,", '[5,"x",') + JSONL_ROW.replace("p1", "p2"))
+     .encode().replace(b"p2", b"p\xff2"),
+     "error: row 1: column 'pos_1': not a number: 'x'\n"),
+    ("bad_header_first.csv", (CSV_HEADER + CSV_ROWS).replace("p001,c0,5,", "p001,c0,zero,")
+     .encode().replace(b"_id", b"\xffid"),
+     "error: row 1: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"),
 ]
 
 
@@ -309,12 +320,16 @@ CLI_PATHS = [
      "error: horizon must be non-negative\n"),
     (["kmeans", "-i", "twins.csv", "--k", "3"], 2, "",
      "error: fewer than k=3 distinct records to seed centroids\n"),
+    (["generate", "-o", "x.csv", "--n", "10", "--mix", "flat=1", "--categories", "0"], 2, "",
+     "error: category_count must be at least 1\n"),
+    (["generate", "-o", "x.csv", "--n", "10", "--mix", "flat=1.5,cold=-0.5"], 2, "",
+     "error: pattern 'flat': share 1.5 out of [0, 1]\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, out, err", CLI_PATHS,
                          ids=["formula-file", "mix-not-a-number", "negative-horizon",
-                              "kmeans-k-distinct"])
+                              "kmeans-k-distinct", "no-categories", "share-out-of-range"])
 def test_cli_paths_pin_exit_code_and_output(argv, code, out, err, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -48,6 +48,8 @@ def test_interval_validation():
         Interval(3, 2)
     with pytest.raises(FormulaError):
         Interval(math.inf, math.inf)
+    with pytest.raises(FormulaError, match="^interval bounds must not be NaN$"):
+        Interval(math.nan, 1)
 
 
 def test_temporal_operators_reject_singular_windows():
@@ -74,6 +76,10 @@ def test_predicate_validation():
         Predicate(Var("x"), "~", Const(0.0))
     with pytest.raises(FormulaError):
         Predicate(Var("x"), "==", Const(0.0), eq_tolerance=-1.0)
+    with pytest.raises(FormulaError, match="^predicate sides must be arithmetic terms$"):
+        Predicate(TRUE, "<", Const(1))
+    with pytest.raises(FormulaError, match="^channel name must be non-empty$"):
+        Var("")
 
 
 def test_channels_of_walks_both_sides():

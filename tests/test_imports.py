@@ -1,7 +1,10 @@
 """Every name a module under src/ or tests/ imports is used in that module
-or listed in its __all__ (`from __future__` imports excepted)."""
+or listed in its __all__ (`from __future__` imports excepted), and every
+function, class and constant a module under src/ defines at its top level is
+named outside its definition, in src/, tests/ or perfbench/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,53 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES)
 def test_every_import_is_used(path):
     assert unused_imports((ROOT / path).read_text(encoding="utf-8")) == []
+
+
+def names_in(node: ast.AST) -> Counter:
+    """How often each name is read, looked up as an attribute or imported
+    in `node`."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.rpartition(".")[2]] += 1
+    return names
+
+
+def dead_definitions(sources: dict[str, str], scanned) -> list[str]:
+    """The top-level functions, classes and constants of the modules
+    `scanned` that no code in `sources` (path -> text) names outside the
+    statement that defines them; dunder names excepted."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    named = sum((names_in(tree) for tree in trees.values()), Counter())
+    dead = []
+    for path in scanned:
+        for stmt in trees[path].body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = names_in(stmt)
+            dead += [f"{path}:{stmt.lineno}: {name}" for name in defined
+                     if not name.startswith("__") and named[name] == own[name]]
+    return dead
+
+
+def test_the_scan_finds_a_dead_definition():
+    sources = {"a.py": "import b\nX = 1\nY: int = 2\ndef f():\n    return f() + b.g() + Y\n"
+                       "class C:\n    pass\n__all__ = []\n",
+               "b.py": "from a import C\ndef g():\n    return 0\n"}
+    assert dead_definitions(sources, ["a.py"]) == ["a.py:2: X", "a.py:4: f"]
+    assert dead_definitions(sources, ["b.py"]) == []
+
+
+def test_every_definition_under_src_is_named():
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in paths}
+    assert dead_definitions(sources, [p for p in sources if p.startswith("src/")]) == []

@@ -312,6 +312,8 @@ def test_generator_config_validation():
         GeneratorConfig(n_records=10, pattern_mix={"blob": 1.0})
     with pytest.raises(DatasetError):
         GeneratorConfig(n_records=10, pattern_mix=MIX, noise_sigma=-1.0)
+    with pytest.raises(DatasetError, match="^pattern_mix must not be empty$"):
+        GeneratorConfig(10, {})
 
 
 def planted_sat(ds, name):
@@ -372,6 +374,21 @@ def test_labels_sidecar(tmp_path):
     assert lines[0] == "product_id,planted_pattern"
     assert len(lines) == 31
     assert lines[1].startswith("p000000,")
+
+
+def test_write_labels_needs_a_label_per_record(tmp_path):
+    """A dataset with no labels, or with a record that has none, is a
+    DatasetError before the file is opened, so an existing file is kept."""
+    path = tmp_path / "l.csv"
+    path.write_text("kept\n")
+    records = [ProductRecord("p0", "c0", [5.0, 5.0], 1, 1, 1),
+               ProductRecord("p1", "c0", [5.0, 5.0], 1, 1, 1)]
+    for planted, message in ((None, "^dataset carries no planted-pattern labels$"),
+                             ({}, "^record 'p0' has no planted-pattern label$"),
+                             ({"p0": "flat"}, "^record 'p1' has no planted-pattern label$")):
+        with pytest.raises(DatasetError, match=message):
+            write_labels(Dataset(records, planted=planted), str(path))
+        assert path.read_text() == "kept\n"
 
 
 SHORT_HEADER = "product_id,category,pos_0,pos_1,impressions,clicks,purchases\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stlrank.core import kernels
+from stlrank.core.semantics import Words
 
 
 def window(i, a, b, n):
@@ -103,19 +104,21 @@ def test_word_kernels_match_brute_force():
     rng = np.random.default_rng(19)
     for n in (*range(1, 13), 16, 17, 32, 33, 63, 64):
         rows, rows1, rows2 = rng.random((3, 3, n)) < np.array([0.5, 0.7, 0.4])[:, None, None]
-        words, words1, words2 = (kernels.pack_words(r) for r in (rows, rows1, rows2))
-        assert words.dtype == kernels.word_type(n) and words.dtype.itemsize * 8 < 2 * max(n, 8)
-        assert np.array_equal(kernels.unpack_words(words, n), rows)
+        alg = Words((3,), n)
+        words, words1, words2 = (alg.atom(r) for r in (rows, rows1, rows2))
+        bits = words.dtype.itemsize * 8
+        assert words.dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+        assert n <= bits < 2 * max(n, 8)
+        assert np.array_equal(alg.days(words), rows)
         pairs = [(a, b) for a in range(n + 2) for b in range(a - 1, n + 2)]
         if n > 12:
             pairs = [pairs[i] for i in rng.choice(len(pairs), 25, replace=False)]
         for a, b in pairs:
-            for kernel, brute in ((kernels.words_any, brute_window_any),
-                                  (kernels.words_all, brute_window_all)):
-                got = kernels.unpack_words(kernel(words, a, b, n), n)
+            for kernel, brute in ((alg.any, brute_window_any), (alg.all, brute_window_all)):
+                got = alg.days(kernel(words, a, b))
                 assert np.array_equal(got, stack(brute, rows, a, b)), (kernel, n, a, b)
             for strict in (False, True):
-                got = kernels.unpack_words(kernels.words_until(words1, words2, a, b, strict, n), n)
+                got = alg.days(alg.until(words1, words2, a, b, strict))
                 want = np.stack([brute_until(x, y, a, b, strict) for x, y in zip(rows1, rows2)])
                 assert np.array_equal(got, want), (n, a, b, strict)
 

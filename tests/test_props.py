@@ -98,6 +98,8 @@ def test_eq_tolerance_sets_only_the_reach_target():
 def test_parameter_validation():
     with pytest.raises(PropertyError):
         build("flat")
+    with pytest.raises(PropertyError, match=r"^ditch: missing parameter 'd'$"):
+        build("ditch", d=None)
     with pytest.raises(PropertyError):
         build("flat_start", q=1.0)
     with pytest.raises(PropertyError):
