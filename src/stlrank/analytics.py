@@ -518,6 +518,41 @@ def _impute_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return matrix, included
 
 
+def _nearest(X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Per row of X, the index of the nearest centroid: the argmin (lowest
+    index on ties) of the squared distances as the broadcast formula
+    ((X[:, None] - centroids[None]) ** 2).sum(axis=2) computes them, bit
+    for bit. `x_sq` holds each row's squared norm.
+
+    The distances are first expanded as |x|^2 - 2 x.c + |c|^2, one matmul.
+    In floating point (unit roundoff u, gamma_n = n u / (1 - n u), D days),
+    the broadcast value is within gamma_{D+2} (|x| + |c|)^2 of the true
+    distance (a difference, a square, D - 1 additions), and so is the
+    expanded one (gamma_D on each norm and on the dot product, then two
+    additions). A row whose two smallest expanded distances lie more than
+    4 gamma_{D+2} (|x| + max |c|)^2 apart has the same argmin under both;
+    each other row is recomputed by the broadcast formula. The bound holds
+    for any summation order, so BLAS may pick its own."""
+    days = centroids.shape[1]
+    c_sq = (centroids ** 2).sum(axis=1)
+    expanded = X @ centroids.T
+    expanded *= -2.0
+    expanded += x_sq[:, None]
+    expanded += c_sq
+    best = expanded.argmin(axis=1)
+    rows = np.arange(len(X))
+    nearest = expanded[rows, best]
+    expanded[rows, best] = np.inf
+    gap = expanded.min(axis=1) - nearest
+    nu = (days + 3) * np.finfo(np.float64).eps / 2  # D + 2, and one for this bound's rounding
+    gamma = nu / (1 - nu)
+    bound = 4 * gamma * (np.sqrt(x_sq) + math.sqrt(c_sq.max())) ** 2
+    close = np.flatnonzero(~(gap > bound))  # also a NaN gap
+    if len(close):
+        best[close] = ((X[close, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    return best
+
+
 def cluster_kmeans(
     ds: Dataset, k: int, seed: int = 0, max_iter: int = 100
 ) -> KMeansResult:
@@ -527,8 +562,12 @@ def cluster_kmeans(
     ranked day at all are excluded (assignment -1). Initial centroids are k
     distinct record rows drawn from a seeded shuffle. An empty cluster keeps
     its previous centroid. Distortion (sum of squared distances to the
-    assigned centroid) never increases across iterations.
+    assigned centroid) never increases across iterations. Each step assigns
+    rows by `_nearest`, as the broadcast formula would.
     """
+    for name, value in (("k", k), ("max_iter", max_iter)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
     if max_iter < 1:
@@ -553,12 +592,12 @@ def cluster_kmeans(
         raise ValueError(f"fewer than k={k} distinct records to seed centroids")
     centroids = np.stack(chosen)
 
+    x_sq = (X ** 2).sum(axis=1)
     assignments = np.full(len(X), -1, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(len(X)), new_assign].sum()))
+        new_assign = _nearest(X, x_sq, centroids)
+        history.append(float(((X - centroids[new_assign]) ** 2).sum(axis=1).sum()))
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign

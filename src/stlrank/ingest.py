@@ -15,22 +15,23 @@ record gives D (14 with no record, as in `Dataset()`). The file extension
 picks the format, for reading and for writing: `.jsonl`, `.ndjson` and
 `.json` mean JSONL, any other extension means CSV. The readers only decode
 (CSV text to numbers; a JSONL object, its keys, and positions as a list of
-JSON numbers). One row path, shared with `generate` and `Dataset(records)`,
+JSON numbers). One row path, shared by the loaders and `Dataset(records)`,
 checks every value, names the row in any SchemaError and appends the row
 to the `Dataset` columns: ids, category codes, a (records, days) position
 matrix and a (records, 3) counter matrix. `Dataset.records` rebuilds
 `ProductRecord` objects from them on access. Writers emit one canonical
-form, so load followed by write reproduces the file byte for byte.
+form, so load followed by write reproduces the file byte for byte; they
+convert one block of rows at a time.
 
 A file goes first to its format's bulk path. `_bulk_csv` and `_bulk_jsonl`
 only split each line into the id, the category and the numeric cells (for
 JSONL, by a regex that matches only the line `write_jsonl` writes); one
 shared helper, `_bulk_columns`, parses all the cells, on the first line's
-day count, in one `np.loadtxt` pass and checks the value rules over whole
-columns. A bulk path never raises; a file it cannot take as it stands (a
-quote, a carriage return, a blank line, an odd cell or cell count, another
-JSONL line form, a rule broken) goes to the row path, which gives the
-result or the error text.
+day count, in one `np.loadtxt` pass, and `_columns_valid` checks the value
+rules over whole columns. A bulk path never raises; a file it cannot take
+as it stands (a quote, a carriage return, a blank line, an odd cell or
+cell count, another JSONL line form, a rule broken) goes to the row path,
+which gives the result or the error text.
 
 `position_channels` turns a record's positions, or a dataset's (records,
 days) matrix, into the evaluable signals: channel "x" with the positions
@@ -58,6 +59,22 @@ at noise_sigma = 0. Patterns and their guarantees at sigma = 0:
 
 Counter means per pattern are fixed, and make engagement differ visibly
 across patterns.
+
+All draws come from one `np.random.default_rng(seed)` stream. For each
+pattern of the mix, in `PATTERNS` order, one array call per random
+quantity covers that pattern's R rows of every category, in category
+order:
+
+    1. the builder's draws: the level (R,); cold and warm then the four
+       steps (R, 4); spiky the excursion day, magnitude and sign (R,)
+       each; missing the run length, then the run start (R,) each;
+       random the walk steps (R, 13)
+    2. with noise_sigma > 0, the noise (R, 14), dropped at missing days
+    3. the Poisson counters (R, 3): impressions, clicks, purchases
+
+The rows then take their places in category-major order: category c0's
+patterns in `PATTERNS` order, then c1's, and so on, with ids p000000 up
+in that order.
 """
 
 from __future__ import annotations
@@ -304,8 +321,9 @@ def _json_number(value) -> float:
 def _read_rows(
     rows: Iterable[tuple[int, object]], decode: Callable = tuple, days: int = DAYS_DEFAULT
 ) -> tuple:
-    """The `Dataset` columns of `rows`: the one row path of the loaders,
-    `generate` and `Dataset(records)`. `decode` turns each raw row into
+    """The `Dataset` columns of `rows`: the one row path of the loaders and
+    `Dataset(records)`, and of `generate` for the error text of a row that
+    breaks a rule. `decode` turns each raw row into
     record fields (rows that are fields already pass as they are),
     `_check_record` checks them, and any SchemaError, also for a repeated
     id or a different number of positions, names the row. The first row
@@ -340,11 +358,10 @@ def _bulk_columns(lines: Iterable[str], split: Callable) -> tuple | None:
     (the positions, then the counters, joined by commas), and raises
     ValueError at a line its format's bulk path declines. The first line's
     cell count gives the day count; one `np.loadtxt` pass parses the cells,
-    failing at a line with another count, and the value rules of
-    `_check_record` are checked as column predicates. None, for the row
-    path to decide, when there is no line or the first has no position, a
-    ValueError comes from `split`, `loadtxt` or the file's decoding, a rule
-    fails, or an id repeats."""
+    failing at a line with another count, and `_columns_valid` checks the
+    value rules. None, for the row path to decide, when there is no line, a
+    ValueError comes from `split`, `loadtxt` or the file's decoding, or a
+    rule fails."""
     ids, category_index, codes = [], {}, array("q")
 
     def numeric_cells():
@@ -366,12 +383,22 @@ def _bulk_columns(lines: Iterable[str], split: Callable) -> tuple | None:
     except ValueError:
         return None
     positions, counters = table["positions"], table["counters"]
-    valid = ((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING)
-    if not (days > 0 and np.all(valid) and np.all(counters >= 0) and all(ids)
-            and "" not in category_index and OVERALL not in category_index
-            and len(set(ids)) == len(ids)):
+    if not _columns_valid(ids, category_index, positions, counters):
         return None
     return ids, list(category_index), np.frombuffer(codes, dtype=np.int64), positions, counters
+
+
+def _columns_valid(ids: list[str], categories, positions: np.ndarray,
+                   counters: np.ndarray) -> bool:
+    """The value rules of `_check_record` as column predicates, for columns
+    whose types are right by construction: ids unique and non-empty,
+    category names (any container) neither empty nor `OVERALL`, one
+    position or more per row, each >= 1 and finite or `MISSING`, and
+    counters non-negative."""
+    valid = ((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING)
+    return (positions.shape[1] > 0 and bool(np.all(valid)) and bool(np.all(counters >= 0))
+            and all(ids) and "" not in categories and OVERALL not in categories
+            and len(set(ids)) == len(ids))
 
 
 # The characters a numeric cell may hold on the bulk CSV path. numpy's
@@ -551,15 +578,23 @@ def write_dataset(ds: Dataset, path: str) -> None:
     (write_jsonl if _is_jsonl(path) else write_csv)(ds, path)
 
 
+# Rows the writers convert to Python objects at a time.
+_WRITE_BLOCK = 4096
+
+
 def _rows_out(ds: Dataset):
     """(product_id, category, positions, counters) per record, with integral
-    positions written without a fraction."""
-    return zip(
-        ds.ids,
-        [ds.categories[c] for c in ds.category_codes.tolist()],
-        ([int(p) if p.is_integer() else p for p in row] for row in ds.positions.tolist()),
-        ds.counters.tolist(),
-    )
+    positions written without a fraction, converted one block of rows at a
+    time so that a writer holds no whole column as Python objects."""
+    for start in range(0, len(ds), _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        yield from zip(
+            ds.ids[block],
+            map(ds.categories.__getitem__, ds.category_codes[block].tolist()),
+            ([int(p) if p.is_integer() else p for p in row]
+             for row in ds.positions[block].tolist()),
+            ds.counters[block].tolist(),
+        )
 
 
 def _write_csv_rows(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -620,8 +655,15 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DatasetError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("n_records", "category_count"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise DatasetError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_records < 1:
             raise DatasetError("n_records must be at least 1")
+        if self.n_records >= 2**63:  # the generated columns are indexed by int64
+            raise DatasetError(f"n_records must be below 2**63, got {self.n_records}")
         if self.category_count < 1:
             raise DatasetError("category_count must be at least 1")
         if self.noise_sigma < 0:
@@ -655,92 +697,117 @@ def _exact_counts(patterns: list[str], shares: list[float], total: int) -> list[
     return counts
 
 
-def _positions_flat(rng: np.random.Generator) -> list[float]:
-    level = round(float(rng.uniform(1.0, 100.0)), 3)
-    return [level] * DAYS_DEFAULT
+def _draw_level(rng: np.random.Generator, n: int, low: float, high: float) -> np.ndarray:
+    """(n, DAYS_DEFAULT) rows, each one uniform level in [low, high) to 3 decimals."""
+    level = np.round(rng.uniform(low, high, n), 3)
+    return np.repeat(level[:, None], DAYS_DEFAULT, axis=1)
 
 
-def _positions_trend(rng: np.random.Generator, low: float, high: float, sign: float):
+def _draw_trend(rng: np.random.Generator, n: int, low: float, high: float,
+                sign: float) -> np.ndarray:
     """A level in [low, high), four steps of 1.5..3 in the direction of
     `sign` (-1 gains positions, +1 loses them), then flat."""
-    pos = [float(rng.uniform(low, high))]
-    for s in rng.uniform(1.5, 3.0, size=4):
-        pos.append(pos[-1] + sign * float(s))
-    pos += [pos[-1]] * (DAYS_DEFAULT - len(pos))
-    return [round(p, 3) for p in pos]
+    pos = np.empty((n, DAYS_DEFAULT))
+    pos[:, 0] = rng.uniform(low, high, n)
+    pos[:, 1:5] = sign * rng.uniform(1.5, 3.0, (n, 4))
+    np.cumsum(pos[:, :5], axis=1, out=pos[:, :5])  # step by step, as a walk
+    pos[:, 5:] = pos[:, 4:5]
+    return np.round(pos, 3)
 
 
-def _positions_spiky(rng: np.random.Generator) -> list[float]:
-    level = round(float(rng.uniform(15.0, 95.0)), 3)
-    pos = [level] * DAYS_DEFAULT
+def _draw_spiky(rng: np.random.Generator, n: int) -> np.ndarray:
+    pos = _draw_level(rng, n, 15.0, 95.0)
+    level = pos[:, 0]
     # Alternating start wiggle: derivative +-2 over derivative days 0..3.
-    pos[1] = level + 2.0
-    pos[3] = level + 2.0
-    day = int(rng.integers(5, 13))
-    magnitude = round(float(rng.uniform(11.0, 13.0)), 3)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    pos[day] = level + sign * magnitude
+    pos[:, [1, 3]] += 2.0
+    day = rng.integers(5, 13, n)
+    magnitude = np.round(rng.uniform(11.0, 13.0, n), 3)
+    sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    pos[np.arange(n), day] = level + sign * magnitude
     return pos
 
 
-def _positions_missing(rng: np.random.Generator) -> list[float]:
-    level = round(float(rng.uniform(1.0, 100.0)), 3)
-    pos = [level] * DAYS_DEFAULT
-    run = int(rng.integers(4, 7))
-    start = int(rng.integers(0, DAYS_DEFAULT - run + 1))
-    for i in range(start, start + run):
-        pos[i] = MISSING
+def _draw_missing(rng: np.random.Generator, n: int) -> np.ndarray:
+    pos = _draw_level(rng, n, 1.0, 100.0)
+    run = rng.integers(4, 7, n)
+    start = rng.integers(0, DAYS_DEFAULT - run + 1)
+    day = np.arange(DAYS_DEFAULT)
+    pos[(day >= start[:, None]) & (day < (start + run)[:, None])] = MISSING
     return pos
 
 
-def _positions_random(rng: np.random.Generator) -> list[float]:
-    pos = [float(rng.uniform(1.0, 100.0))]
-    for _ in range(DAYS_DEFAULT - 1):
-        pos.append(max(1.0, pos[-1] + float(rng.normal(0.0, 3.0))))
-    return [round(p, 3) for p in pos]
+def _draw_random(rng: np.random.Generator, n: int) -> np.ndarray:
+    pos = np.empty((n, DAYS_DEFAULT))
+    pos[:, 0] = rng.uniform(1.0, 100.0, n)
+    steps = rng.normal(0.0, 3.0, (n, DAYS_DEFAULT - 1))
+    for day in range(1, DAYS_DEFAULT):
+        pos[:, day] = np.maximum(1.0, pos[:, day - 1] + steps[:, day - 1])
+    return np.round(pos, 3)
 
 
-# Each pattern's positions builder and its mean (impressions, clicks, purchases).
+# Each pattern's positions builder, (rng, rows) -> (rows, DAYS_DEFAULT), and
+# its mean (impressions, clicks, purchases).
 _PATTERNS = {
-    "flat": (_positions_flat, (300.0, 30.0, 90.0)),
-    "cold": (lambda rng: _positions_trend(rng, 30.0, 95.0, -1.0), (250.0, 10.0, 35.0)),
-    "warm": (lambda rng: _positions_trend(rng, 1.0, 60.0, 1.0), (400.0, 5.0, 5.0)),
-    "spiky": (_positions_spiky, (300.0, 5.0, 15.0)),
-    "missing": (_positions_missing, (220.0, 8.0, 20.0)),
-    "random": (_positions_random, (280.0, 12.0, 25.0)),
+    "flat": (lambda rng, n: _draw_level(rng, n, 1.0, 100.0), (300.0, 30.0, 90.0)),
+    "cold": (lambda rng, n: _draw_trend(rng, n, 30.0, 95.0, -1.0), (250.0, 10.0, 35.0)),
+    "warm": (lambda rng, n: _draw_trend(rng, n, 1.0, 60.0, 1.0), (400.0, 5.0, 5.0)),
+    "spiky": (_draw_spiky, (300.0, 5.0, 15.0)),
+    "missing": (_draw_missing, (220.0, 8.0, 20.0)),
+    "random": (_draw_random, (280.0, 12.0, 25.0)),
 }
 PATTERNS = tuple(_PATTERNS)
 
 
 def generate(config: GeneratorConfig) -> Dataset:
-    """Deterministic synthetic dataset for a pattern mix (see module docs).
+    """Deterministic synthetic dataset for a pattern mix, drawn pattern by
+    pattern in whole arrays (see module docs for the draw order).
 
     The same config always yields the same records, and writers are
-    canonical, so generated files are reproducible byte for byte.
+    canonical, so generated files are reproducible byte for byte. The
+    columns are checked by `_columns_valid`; should a rule fail, the row
+    path names the first row that breaks it.
     """
+    n = config.n_records
+    try:
+        positions = np.empty((n, DAYS_DEFAULT))
+        counters = np.empty((n, len(COUNTERS)), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: numpy's "array is too big"
+        raise DatasetError(f"n_records={n}: too many records to hold in memory") from None
     rng = np.random.default_rng(config.seed)
-    mix_names = [p for p in PATTERNS if p in config.pattern_mix]
-    mix_shares = [float(config.pattern_mix[p]) for p in mix_names]
+    names = [p for p in PATTERNS if p in config.pattern_mix]
+    shares = [float(config.pattern_mix[p]) for p in names]
 
-    # Categories past the n_records-th get no record and draw nothing.
-    base, extra = divmod(config.n_records, config.category_count)
-    rows: list[tuple] = []
-    planted: dict[str, str] = {}
-    for cat_i in range(min(config.category_count, config.n_records)):
-        counts = _exact_counts(mix_names, mix_shares, base + (cat_i < extra))
-        category = f"c{cat_i}"
-        for pattern, count in zip(mix_names, counts):
-            builder, (mean_impr, mean_clicks, mean_purch) = _PATTERNS[pattern]
-            for _ in range(count):
-                positions = builder(rng)
-                if config.noise_sigma > 0:
-                    positions = [
-                        p if p == MISSING
-                        else round(max(1.0, p + float(rng.normal(0.0, config.noise_sigma))), 3)
-                        for p in positions
-                    ]
-                product_id = f"p{len(rows):06d}"
-                rows.append((product_id, category, positions, int(rng.poisson(mean_impr)),
-                             int(rng.poisson(mean_clicks)), int(rng.poisson(mean_purch))))
-                planted[product_id] = pattern
-    return Dataset._from_columns(_read_rows(enumerate(rows, start=1)), planted)
+    # Categories past the n-th get no record. The first `extra` hold one
+    # record more than the others, so two apportionments cover them all.
+    cats = min(config.category_count, n)
+    base, extra = divmod(n, config.category_count)
+    counts = np.where((np.arange(cats) < extra)[:, None],
+                      _exact_counts(names, shares, base + 1), _exact_counts(names, shares, base))
+    # starts[c, j]: the row of category c's first pattern-j record.
+    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    for j, pattern in enumerate(names):
+        builder, means = _PATTERNS[pattern]
+        per_category = counts[:, j]
+        drawn = int(per_category.sum())
+        block = builder(rng, drawn)
+        if config.noise_sigma > 0:
+            noise = rng.normal(0.0, config.noise_sigma, block.shape)
+            block = np.where(block == MISSING, MISSING,
+                             np.round(np.maximum(1.0, block + noise), 3))
+        # Drawn row i of category c goes to row i - (rows drawn for the
+        # categories before c) + starts[c, j].
+        shift = starts[:, j] - (np.cumsum(per_category) - per_category)
+        rows = np.arange(drawn) + np.repeat(shift, per_category)
+        positions[rows] = block
+        counters[rows] = rng.poisson(means, (drawn, len(COUNTERS)))
+
+    ids = list(map("p%06d".__mod__, range(n)))
+    categories = [f"c{i}" for i in range(cats)]
+    codes = np.repeat(np.arange(cats), counts.sum(axis=1))
+    planted_index = np.repeat(np.tile(np.arange(len(names)), cats), counts.ravel())
+    planted = dict(zip(ids, map(names.__getitem__, planted_index.tolist())))
+    columns = (ids, categories, codes, positions, counters)
+    if not _columns_valid(ids, categories, positions, counters):
+        columns = _read_rows(enumerate(zip(ids, map(categories.__getitem__, codes.tolist()),
+                                           positions.tolist(), *counters.T.tolist()), start=1))
+    return Dataset._from_columns(columns, planted)

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlrank import (
     Dataset,
@@ -27,10 +29,11 @@ from stlrank import (
 )
 from stlrank.analytics import (
     MAX_GROUNDED_NODES,
+    _nearest,
     centroids_plot_data,
     rates_plot_data,
 )
-from stlrank.ingest import OVERALL, SchemaError, derivative_values
+from stlrank.ingest import OVERALL, PATTERNS, SchemaError, derivative_values
 
 MIX = {"cold": 0.3, "flat": 0.5, "spiky": 0.2}
 
@@ -287,6 +290,105 @@ def test_kmeans_validates_k():
         cluster_kmeans(ds, k=61)
     with pytest.raises(ValueError, match="need at least k=2 usable records, have 0"):
         cluster_kmeans(Dataset([]), k=2)
+    for k in (2.5, True, "2"):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            cluster_kmeans(ds, k=k)
+    with pytest.raises(ValueError, match="^max_iter must be an integer, got 2.0$"):
+        cluster_kmeans(ds, k=2, max_iter=2.0)
+
+
+def broadcast_assignment(X, centroids):
+    """The oracle: argmin of the squared distances by broadcasting."""
+    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+@st.composite
+def rows_with_ties(draw):
+    """(X, centroids) of positions with three decimals near 0 or near 1e6,
+    where rows also copy a centroid, repeat a row, sit halfway between two
+    centroids, or are all -1 (an all-missing row's sentinel). Near 1e6 the
+    expanded distances round, so near-ties test the fallback's bound."""
+    days = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 6))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    cell = st.integers(-60_000, 60_000).map(lambda v: offset + v / 1000)
+    centroids = np.array(draw(st.lists(st.lists(cell, min_size=days, max_size=days),
+                                       min_size=k, max_size=k)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["free", "centroid", "repeat", "halfway",
+                                               "missing"]), min_size=1, max_size=30)):
+        if kind == "free" or (kind == "repeat" and not rows):
+            rows.append(draw(st.lists(cell, min_size=days, max_size=days)))
+        elif kind == "centroid":
+            rows.append(list(centroids[draw(st.integers(0, k - 1))]))
+        elif kind == "repeat":
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "halfway":
+            # Mirror images about a row are equidistant from it.
+            middle = np.array(draw(st.lists(cell, min_size=days, max_size=days)))
+            step = np.array(draw(st.lists(st.integers(-9000, 9000), min_size=days,
+                                          max_size=days))) / 1000
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            centroids[i], centroids[j] = middle + step, middle - step
+            rows.append(list(middle))
+        else:
+            rows.append([-1.0] * days)
+    return np.array(rows, dtype=np.float64), centroids
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_with_ties())
+def test_nearest_centroid_matches_the_broadcast_formula(case):
+    X, centroids = case
+    got = _nearest(X, (X ** 2).sum(axis=1), centroids)
+    assert np.array_equal(got, broadcast_assignment(X, centroids))
+
+
+def lloyd_by_broadcast(ds, k, seed, max_iter):
+    """The Lloyd loop as it was before the matmul assignment, kept as the
+    reference for bit-identical results."""
+    missing = ds.positions == -1.0
+    included = ~missing.all(axis=1)
+    matrix = ds.positions.copy()
+    for i in np.flatnonzero(missing.any(axis=1) & included):
+        matrix[i, missing[i]] = ds.positions[i][~missing[i]].mean()
+    X = matrix[included]
+    order = np.random.default_rng(seed).permutation(len(X))
+    chosen = []
+    for idx in order:
+        if not any(np.array_equal(X[idx], c) for c in chosen):
+            chosen.append(X[idx])
+        if len(chosen) == k:
+            break
+    centroids = np.stack(chosen)
+    assignments = np.full(len(X), -1, dtype=np.int64)
+    history = []
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(len(X)), new_assign].sum()))
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        for c in range(k):
+            members = X[assignments == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    full = np.full(len(ds), -1, dtype=np.int64)
+    full[np.flatnonzero(included)] = assignments
+    return centroids, full, history
+
+
+def test_kmeans_is_bit_identical_to_the_broadcast_lloyd_loop():
+    ds = generate(GeneratorConfig(
+        n_records=20_000, pattern_mix=dict.fromkeys(PATTERNS, 1 / 6), category_count=100,
+        noise_sigma=0.5, seed=41))
+    centroids, assignments, history = lloyd_by_broadcast(ds, k=10, seed=7, max_iter=40)
+    result = cluster_kmeans(ds, k=10, seed=7, max_iter=40)
+    assert result.centroids.tobytes() == centroids.tobytes()
+    assert np.array_equal(result.assignments, assignments)
+    assert result.distortion_history == tuple(history)
+    assert result.iterations == len(history)
 
 
 def test_plot_emitters_shape():

@@ -324,12 +324,15 @@ CLI_PATHS = [
      "error: category_count must be at least 1\n"),
     (["generate", "-o", "x.csv", "--n", "10", "--mix", "flat=1.5,cold=-0.5"], 2, "",
      "error: pattern 'flat': share 1.5 out of [0, 1]\n"),
+    (["generate", "-o", "x.csv", "--n", "99999999999999999999", "--mix", "cold=1"], 2, "",
+     "error: n_records must be below 2**63, got 99999999999999999999\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, out, err", CLI_PATHS,
                          ids=["formula-file", "mix-not-a-number", "negative-horizon",
-                              "kmeans-k-distinct", "no-categories", "share-out-of-range"])
+                              "kmeans-k-distinct", "no-categories", "share-out-of-range",
+                              "n-records-past-int64"])
 def test_cli_paths_pin_exit_code_and_output(argv, code, out, err, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -28,10 +29,13 @@ from stlrank import (
     write_csv,
     write_jsonl,
 )
+from stlrank import ingest
 from stlrank.ingest import (
+    PATTERNS,
     _bulk_csv,
     _bulk_jsonl,
     _csv_rows,
+    _exact_counts,
     _jsonl_rows,
     labels_path_for,
     write_dataset,
@@ -314,6 +318,30 @@ def test_generator_config_validation():
         GeneratorConfig(n_records=10, pattern_mix=MIX, noise_sigma=-1.0)
     with pytest.raises(DatasetError, match="^pattern_mix must not be empty$"):
         GeneratorConfig(10, {})
+    # Counts are ints (a bool is not), and n_records fits the int64 row index;
+    # each is rejected before `generate` allocates anything.
+    for field, value in (("n_records", 2.5), ("n_records", True), ("n_records", "10"),
+                         ("category_count", 2.5), ("category_count", False)):
+        with pytest.raises(DatasetError, match=f"^{field} must be an integer, got {value!r}$"):
+            GeneratorConfig(**{"n_records": 10, "pattern_mix": MIX, field: value})
+    for n in (2**63, 99999999999999999999):
+        with pytest.raises(DatasetError, match=f"^n_records must be below 2\\*\\*63, got {n}$"):
+            GeneratorConfig(n_records=n, pattern_mix=MIX)
+    config = GeneratorConfig(n_records=np.int64(10), pattern_mix=MIX, category_count=np.int32(3))
+    assert type(config.n_records) is int and type(config.category_count) is int
+
+
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_generator_names_n_records_when_its_columns_cannot_be_allocated(error, monkeypatch):
+    """numpy raises MemoryError when the allocation fails, and ValueError
+    ("array is too big") when its size overflows; the allocation is faked."""
+    def empty(*args, **kwargs):
+        raise error("fake")
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(DatasetError,
+                       match=r"^n_records=10000000000000: too many records to hold in memory$"):
+        generate(GeneratorConfig(n_records=10**13, pattern_mix=MIX))
 
 
 def planted_sat(ds, name):
@@ -362,6 +390,74 @@ def test_noise_keeps_positions_valid():
     for rec in ds.records:
         for p in rec.positions:
             assert p == -1.0 or p >= 1.0
+
+
+@pytest.mark.parametrize("sigma", [0.5, 50.0])
+def test_noise_never_moves_a_missing_day_nor_goes_below_one(sigma):
+    """With one pattern, the noise is drawn after all of the builder's
+    draws, so the noiseless run of the same seed shows the planted days."""
+    config = dict(n_records=500, pattern_mix={"missing": 1.0}, category_count=7, seed=19)
+    plain = generate(GeneratorConfig(**config))
+    noisy = generate(GeneratorConfig(**config, noise_sigma=sigma))
+    missing = plain.positions == -1.0
+    runs = missing.sum(axis=1)
+    assert ((runs >= 4) & (runs <= 6)).all()
+    assert np.array_equal(noisy.positions == -1.0, missing)
+    assert (noisy.positions[~missing] >= 1.0).all()
+    assert (noisy.positions[~missing] != plain.positions[~missing]).any()
+    mixed = generate(GeneratorConfig(n_records=600, pattern_mix=SIX, seed=19, noise_sigma=sigma))
+    gone = mixed.positions == -1.0
+    assert ((mixed.positions >= 1.0) | gone).all()
+    planted = np.array([mixed.planted[pid] for pid in mixed.ids])
+    assert not gone[planted != "missing"].any()
+    assert (gone[planted == "missing"].sum(axis=1) >= 4).all()
+
+
+def test_generated_rows_follow_the_exact_counts_in_category_major_order(tmp_path):
+    """Uneven categories: each one's pattern counts are `_exact_counts` of
+    its size, its records are contiguous with the patterns in `PATTERNS`
+    order, ids count up, and the labels sidecar says the same."""
+    n, categories = 1003, 7
+    ds = generate(GeneratorConfig(n_records=n, pattern_mix=SIX, category_count=categories,
+                                  noise_sigma=0.5, seed=23))
+    names = [p for p in PATTERNS if p in SIX]
+    assert ds.ids == [f"p{i:06d}" for i in range(n)]
+    assert ds.categories == [f"c{c}" for c in range(categories)]
+    assert (np.diff(ds.category_codes) >= 0).all()
+    base, extra = divmod(n, categories)
+    for code in range(categories):
+        planted = [ds.planted[pid] for pid, c in zip(ds.ids, ds.category_codes) if c == code]
+        counts = _exact_counts(names, [SIX[p] for p in names], base + (code < extra))
+        assert planted == [p for p, count in zip(names, counts) for _ in range(count)]
+    path = tmp_path / "data.csv"
+    write_csv(ds, str(path))
+    write_labels(ds, labels_path_for(str(path)))
+    with open(labels_path_for(str(path)), newline="") as fh:
+        assert list(csv.reader(fh)) == [["product_id", "planted_pattern"],
+                                        *([pid, ds.planted[pid]] for pid in ds.ids)]
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    """The sha1 of a small generated CSV, so that a change of the draw order
+    or of a builder shows here. A numpy release that changes the stream of
+    a `Generator` method changes it too."""
+    ds = generate(GeneratorConfig(n_records=60, pattern_mix=SIX, category_count=4,
+                                  noise_sigma=0.5, seed=2024))
+    path = tmp_path / "pinned.csv"
+    write_csv(ds, str(path))
+    digest = hashlib.sha1(path.read_bytes()).hexdigest()
+    assert digest == "05521aac863471152d687a7ee0e7a971e5c3ce23"
+
+
+def test_a_generated_row_that_breaks_a_rule_is_named_by_the_row_path(monkeypatch):
+    """The columns are checked as a whole; a failing check hands the rows
+    to the row path, whose error names the first bad row."""
+    _, means = ingest._PATTERNS["cold"]
+    monkeypatch.setitem(ingest._PATTERNS, "cold", (lambda rng, n: np.zeros((n, 14)), means))
+    with pytest.raises(SchemaError, match=r"^row 5: record 'p000004': pos_0 must be >= 1 or -1, "
+                                          r"got 0\.0$"):
+        generate(GeneratorConfig(n_records=12, pattern_mix={"flat": 0.75, "cold": 0.25},
+                                 category_count=2))
 
 
 def test_labels_sidecar(tmp_path):
