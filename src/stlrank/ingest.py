@@ -13,11 +13,14 @@ CSV layout (header required; its pos_ columns give D >= 1):
 JSONL carries the same fields with the positions as an array; the first
 record gives D (14 with no record, as in `Dataset()`). The file extension
 picks the format, for reading and for writing: `.jsonl`, `.ndjson` and
-`.json` mean JSONL, any other extension means CSV. The readers only decode
+`.json` mean JSONL, any other extension means CSV. A file is opened once,
+as UTF-8 with errors="surrogateescape": each byte that is not UTF-8 reads
+as a lone surrogate, so decoding never fails. The readers only decode
 (CSV text to numbers; a JSONL object, its keys, and positions as a list of
 JSON numbers). One row path, shared by the loaders and `Dataset(records)`,
-checks every value, names the row in any SchemaError and appends the row
-to the `Dataset` columns: ids, category codes, a (records, days) position
+checks every value, names the row in any SchemaError (a row holding a byte
+that is not UTF-8 gives "not UTF-8: byte 0xff") and appends the row to the
+`Dataset` columns: ids, category codes, a (records, days) position
 matrix and a (records, 3) counter matrix. `Dataset.records` rebuilds
 `ProductRecord` objects from them on access. Writers emit one canonical
 form, so load followed by write reproduces the file byte for byte; they
@@ -29,9 +32,9 @@ JSONL, by a regex that matches only the line `write_jsonl` writes); one
 shared helper, `_bulk_columns`, parses all the cells, on the first line's
 day count, in one `np.loadtxt` pass, and `_columns_valid` checks the value
 rules over whole columns. A bulk path never raises; a file it cannot take
-as it stands (a quote, a carriage return, a blank line, an odd cell or
-cell count, another JSONL line form, a rule broken) goes to the row path,
-which gives the result or the error text.
+as it stands (a quote, a carriage return, a blank line, an odd cell or cell
+count, another JSONL line form, a byte that is not UTF-8, a rule broken)
+goes to the row path, which gives the result or the error text.
 
 `position_channels` turns a record's positions, or a dataset's (records,
 days) matrix, into the evaluable signals: channel "x" with the positions
@@ -79,9 +82,7 @@ in that order.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -133,12 +134,25 @@ class SchemaError(DatasetError):
 COUNTERS = ("impressions", "clicks", "purchases")
 
 
+def _check_utf8(text: str, prefix: str = "") -> None:
+    """SchemaError after `prefix` at the first lone surrogate in `text`, which
+    UTF-8 cannot encode. One in U+DC80-U+DCFF is named as the byte that the
+    loaders' surrogate escapes made of it."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        char = exc.object[exc.start]
+        bad = f"byte {ord(char) - 0xdc00:#04x}" if "\udc80" <= char <= "\udcff" else repr(char)
+        raise SchemaError(f"{prefix}not UTF-8: {bad}") from None
+
+
 def _check_record(product_id, category, positions, counters) -> tuple[float, ...]:
     """Every value rule of one record, in order (SchemaError naming the
     record and field); returns the positions as floats."""
     for name, value in (("product_id", product_id), ("category", category)):
         if not isinstance(value, str):
             raise SchemaError(f"column {name!r}: not a string")
+        _check_utf8(value, f"column {name!r}: ")
     if not product_id:
         raise SchemaError("empty product_id")
     if not category:
@@ -360,8 +374,8 @@ def _bulk_columns(lines: Iterable[str], split: Callable) -> tuple | None:
     cell count gives the day count; one `np.loadtxt` pass parses the cells,
     failing at a line with another count, and `_columns_valid` checks the
     value rules. None, for the row path to decide, when there is no line, a
-    ValueError comes from `split`, `loadtxt` or the file's decoding, or a
-    rule fails."""
+    ValueError comes from `split` or `loadtxt`, an id or a category holds a
+    byte that is not UTF-8, or a rule fails."""
     ids, category_index, codes = [], {}, array("q")
 
     def numeric_cells():
@@ -380,6 +394,8 @@ def _bulk_columns(lines: Iterable[str], split: Callable) -> tuple | None:
         dtype = [("positions", np.float64, (days,)), ("counters", np.int64, (len(COUNTERS),))]
         table = np.loadtxt(chain([first], cells), dtype=dtype, delimiter=",",
                            comments=None, ndmin=1)
+        # UnicodeEncodeError, a ValueError, at a byte that is not UTF-8.
+        "".join(chain(ids, category_index)).encode()
     except ValueError:
         return None
     positions, counters = table["positions"], table["counters"]
@@ -394,7 +410,8 @@ def _columns_valid(ids: list[str], categories, positions: np.ndarray,
     whose types are right by construction: ids unique and non-empty,
     category names (any container) neither empty nor `OVERALL`, one
     position or more per row, each >= 1 and finite or `MISSING`, and
-    counters non-negative."""
+    counters non-negative. `_bulk_columns` checks that ids and categories
+    encode as UTF-8."""
     valid = ((positions >= 1.0) & (positions < math.inf)) | (positions == MISSING)
     return (positions.shape[1] > 0 and bool(np.all(valid)) and bool(np.all(counters >= 0))
             and all(ids) and "" not in categories and OVERALL not in categories
@@ -424,10 +441,7 @@ def _bulk_csv(fh) -> tuple | None:
             raise ValueError
         return product_id, category, tail
 
-    try:  # a UnicodeDecodeError leaves the file to the row path
-        header = fh.readline()
-    except ValueError:
-        return None
+    header = fh.readline()
     days = len(header.split(",")) - len(_header(0))
     if days < 1 or header != ",".join(_header(days)) + "\n":
         return None
@@ -459,6 +473,7 @@ def _csv_rows(fh) -> tuple:
     pos_columns, counter_columns = header[2:2 + days], header[2 + days:]
 
     def decode(cells: list[str]) -> tuple:
+        _check_utf8("".join(cells))
         if len(cells) != len(header):
             raise SchemaError(f"expected {len(header)} columns, got {len(cells)}")
         positions = _numbers(float, cells[2:2 + days], pos_columns, "a number")
@@ -506,6 +521,7 @@ def _jsonl_rows(fh) -> tuple:
     """The `Dataset` columns of the JSONL file `fh`, read and checked row by row."""
 
     def decode(line: str) -> tuple:
+        _check_utf8(line)  # also in a key that the record ignores
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also a too-long int, deep nesting
@@ -533,43 +549,22 @@ def _is_jsonl(path) -> bool:
     return os.fspath(path).endswith((".jsonl", ".ndjson", ".json"))
 
 
-def _lines_then_raise(text: str, newline: str | None, exc: Exception):
-    """The lines of `text` up to its last line break, as a file opened with
-    `newline` reads them; then `exc` is raised."""
-    yield from io.StringIO(text[:max(map(text.rfind, "\r\n")) + 1], newline=newline)
-    raise exc
-
-
 def load_dataset(path) -> Dataset:
     """Load a CSV or JSONL dataset, the format chosen by `_is_jsonl`: by the
     format's bulk path, or by its row path when the bulk path declines. The
     file gives the day count: the CSV header, or the first JSONL record.
-    A file that is not UTF-8 is a SchemaError naming its first bad row, or
-    else its first bad byte's row."""
+    The file is opened once, as UTF-8 with errors="surrogateescape", so
+    decoding never fails; a row holding a byte that is not UTF-8 is a
+    SchemaError naming the row and the byte (`_check_utf8`)."""
     if _is_jsonl(path):
-        bulk, by_row, records, newline = _bulk_jsonl, _jsonl_rows, iter, None
+        bulk, by_row, newline = _bulk_jsonl, _jsonl_rows, None
     else:
-        bulk, by_row, records, newline = _bulk_csv, _csv_rows, _csv_records, ""
-    try:
-        with open(path, "r", newline=newline, encoding="utf-8") as fh:
-            columns = bulk(fh)
-            if columns is None:
-                fh.seek(0)
-                columns = by_row(fh)
-    except UnicodeDecodeError:  # at a position in the reader's decode chunk
-        try:
-            with open(path, "rb") as fh:
-                fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:  # at the first bad byte of the file
-            head = exc.object[:exc.start].decode("utf-8")
-            # A bad row before the bad byte's row names itself first.
-            with contextlib.suppress(UnicodeDecodeError):
-                by_row(_lines_then_raise(head, newline, exc))
-            # The rows before it, numbered as the row path numbers them; the
-            # "x" starts the bad byte's row when no row is open.
-            row_no = sum(1 for _ in records(io.StringIO(head + "x", newline=newline)))
-            raise SchemaError(f"row {row_no}: {exc}") from None
-        raise
+        bulk, by_row, newline = _bulk_csv, _csv_rows, ""
+    with open(path, newline=newline, encoding="utf-8", errors="surrogateescape") as fh:
+        columns = bulk(fh)
+        if columns is None:
+            fh.seek(0)
+            columns = by_row(fh)
     return Dataset._from_columns(columns)
 
 

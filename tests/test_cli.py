@@ -9,9 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from stlrank import (
     Dataset,
+    DatasetError,
+    GeneratorConfig,
     ProductRecord,
     PropertyParams,
     Trace,
@@ -20,13 +24,14 @@ from stlrank import (
     cluster_kmeans,
     default_library,
     eval_naive,
+    generate,
     load_dataset,
     parse_formula,
     print_formula,
     write_csv,
 )
 from stlrank.analytics import centroids_plot_data
-from stlrank.ingest import write_dataset
+from stlrank.ingest import PATTERNS, write_dataset
 from stlrank.cli import _PARAM_HELP, build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -216,6 +221,7 @@ MALFORMED_ROWS = [
      "row 2: record 'p2': purchases must be a non-negative integer, got None"),
     ("jsonl", {"product_id": 7}, "row 2: column 'product_id': not a string"),
     ("jsonl", {"category": ["a"]}, "row 2: column 'category': not a string"),
+    ("jsonl", {"category": "c\ud800"}, "row 2: column 'category': not UTF-8: '\\ud800'"),
     ("jsonl", {"product_id": ""}, "row 2: empty product_id"),
     ("jsonl", {"category": "(all)"}, "row 2: category '(all)' is reserved for the rollup rows"),
     ("jsonl", {"product_id": "p1"}, "row 2: duplicate product_id 'p1'"),
@@ -266,25 +272,33 @@ JSONL_ROW = '{"product_id":"p1","category":"c0","positions":[%s],' % ",".join(["
     '"impressions":10,"clicks":1,"purchases":0}\n')
 
 # Malformed files, as raw bytes: (file name, content, the whole stderr). The
-# byte 0xff is never UTF-8; p250 starts at byte 10,887, past the text
-# reader's first 8 KiB decode chunk. In quoted.csv the id of row 2 holds a
-# "\r", so row 4 starts on line 5; a schema fault there names row 4 too.
+# bytes 0xff and 0xe9 here are never UTF-8; p250 starts at byte 10,887,
+# past the text reader's first 8 KiB decode chunk. In quoted.csv the id of
+# row 2 holds a "\r", so row 4 starts on line 5; a schema fault there names
+# row 4 too. A header holding a bad byte is a bad header.
+BAD_HEADER = "bad header; expected " + repr(CSV_HEADER[:-1])
+WRONG_HEADER_THEN_BAD_BYTE = (b"product_id,category,pos_0,pos_X,impressions,clicks,purchases\n"
+                              b"p1,c,5,5,1,1,1\np2,c,5,5\xff,1,1,1\n")
 MALFORMED_FILES = [
     ("empty.csv", b"", "error: empty.csv: empty file\n"),
     ("list.jsonl", b"[1]\n", "error: row 1: expected an object\n"),
     ("header.csv", (CSV_HEADER + CSV_ROWS).encode().replace(b"_id", b"\xffid"),
-     "error: row 1: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"),
+     f"error: header.csv: {BAD_HEADER}\n"),
     ("late.csv", (CSV_HEADER + CSV_ROWS).encode().replace(b"p250", b"\xff250"),
-     "error: row 252: 'utf-8' codec can't decode byte 0xff in position 10887:"
-     " invalid start byte\n"),
+     "error: row 252: not UTF-8: byte 0xff\n"),
     ("quoted.csv", (CSV_HEADER + CSV_ROWS).encode().replace(b"p000,", b'"p\r000",')
      .replace(b"p002", b"\xff002"),
-     "error: row 4: 'utf-8' codec can't decode byte 0xff in position 226:"
-     " invalid start byte\n"),
+     "error: row 4: not UTF-8: byte 0xff\n"),
     ("row.jsonl", (JSONL_ROW + JSONL_ROW.replace("p1", "p2").replace("c0", "c\xe9"))
      .encode("latin-1"),
-     "error: row 2: 'utf-8' codec can't decode byte 0xe9 in position 152:"
-     " invalid continuation byte\n"),
+     "error: row 2: not UTF-8: byte 0xe9\n"),
+    # A key the record ignores is read too: its bad byte fails the row.
+    ("note.jsonl", JSONL_ROW.replace("{", '{"note\xff":1,').encode("latin-1"),
+     "error: row 1: not UTF-8: byte 0xff\n"),
+    # A wrong header with a bad byte in a later row: the header comes first.
+    ("wrong_header.csv", WRONG_HEADER_THEN_BAD_BYTE,
+     "error: wrong_header.csv: bad header; expected"
+     " 'product_id,category,pos_0,pos_1,impressions,clicks,purchases'\n"),
     # A bad row before the bad byte's row is the error, as in a UTF-8 file;
     # a bad byte in the header still comes first.
     ("first_bad_row.csv", (CSV_HEADER + "".join(CSV_ROWS.splitlines(True)[:4]))
@@ -295,7 +309,7 @@ MALFORMED_FILES = [
      "error: row 1: column 'pos_1': not a number: 'x'\n"),
     ("bad_header_first.csv", (CSV_HEADER + CSV_ROWS).replace("p001,c0,5,", "p001,c0,zero,")
      .encode().replace(b"_id", b"\xffid"),
-     "error: row 1: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"),
+     f"error: bad_header_first.csv: {BAD_HEADER}\n"),
 ]
 
 
@@ -307,6 +321,56 @@ def test_malformed_files_pin_their_error_text(name, content, err, tmp_path, caps
     (tmp_path / name).write_bytes(content)
     assert main(["check", "-i", name, "--property", "ditch", "--each"]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+# Whole files under byte edits, header included: every dataset subcommand
+# ends in a result or a typed error, never a traceback, and what loads
+# round-trips through both writers. An edit (i, n, token) puts `token` in
+# place of the n bytes at offset i, taken modulo the file's length + 1; the
+# @example replaces the whole file with one that once ended in a traceback.
+GATE_BASE = generate(GeneratorConfig(
+    n_records=6, pattern_mix={p: 1 / 6 for p in PATTERNS}, category_count=2, seed=5))
+GATE_TOKENS = [b",", b'"', b"\r", b"\n", b"\xff", b"\xe9", b"\x00", b"-1", b"nan", b"1e400",
+               b"{", b"[", b"", b"1", b"9", b".", b"\xc3\xa9", b"p000001"]
+GATE_COMMANDS = [["rates"], ["rates", "--complete-only"], ["metrics"],
+                 ["check", "--property", "reach"],
+                 ["check", "--formula", "F[0,3](d1(x) < -2) & G(x >= 1)", "--each"],
+                 ["kmeans", "--k", "2"]]
+
+
+def columns_of(ds):
+    return (ds.ids, ds.categories, ds.category_codes.tolist(), ds.positions.shape,
+            ds.positions.tobytes(), ds.counters.tolist())
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(["csv", "jsonl"]),
+       edits=st.lists(st.tuples(st.integers(0, 1200), st.integers(0, 1),
+                                st.sampled_from(GATE_TOKENS)), min_size=1, max_size=3))
+@example(fmt="csv", edits=[(0, 10 ** 6, WRONG_HEADER_THEN_BAD_BYTE)])
+def test_mutated_files_end_in_a_result_or_a_typed_error(fmt, edits, tmp_path, capsys):
+    path = tmp_path / f"gate.{fmt}"
+    write_dataset(GATE_BASE, str(path))
+    data = path.read_bytes()
+    for i, n, token in edits:
+        i %= len(data) + 1
+        data = data[:i] + token + data[i + n:]
+    path.write_bytes(data)
+    for command in GATE_COMMANDS:
+        code = main([command[0], "-i", str(path), *command[1:]])
+        out, err = capsys.readouterr()
+        assert code in (0, 2) or code == 1 and err.startswith("error: [Errno"), (command, err)
+        assert (err == "") == (code == 0), (command, err)
+        assert code == 0 or err.startswith("error: ") and out == "", (command, out, err)
+    try:
+        loaded = load_dataset(str(path))
+    except DatasetError:
+        return
+    for suffix in (".csv", ".jsonl"):
+        again = tmp_path / ("again" + suffix)
+        write_dataset(loaded, str(again))
+        assert columns_of(load_dataset(str(again))) == columns_of(loaded)
 
 
 # CLI paths no other test reaches: (argv, exit code, stdout, stderr), run

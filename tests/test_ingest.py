@@ -66,6 +66,11 @@ def test_record_validation():
         record([1.0] * 14, pid=7)
     with pytest.raises(SchemaError, match="'category': not a string"):
         record([1.0] * 14, category=None)
+    # Ids and categories must encode as UTF-8, so that the writers can write them.
+    with pytest.raises(SchemaError, match=r"^column 'product_id': not UTF-8: '\\ud800'$"):
+        record([1.0] * 14, pid="p\ud800")
+    with pytest.raises(SchemaError, match="^column 'category': not UTF-8: byte 0xff$"):
+        record([1.0] * 14, category="c\udcff")
     # A string is not split into characters: "12" is not [1.0, 2.0].
     for positions in (["a"], [1.0, None], [None], None, 5.0, "1234", b"12", bytearray(b"12")):
         with pytest.raises(SchemaError, match="'p': positions must be a list of numbers"):
@@ -648,7 +653,7 @@ def test_mutated_jsonl_rows_load_or_name_their_row(row, in_positions, edits, tmp
 # bulk path must leave to the per-row path.
 BULK_TEXTS = CSV_TEXTS + ["5\u01fe5", "5\x1c", "\x1d5", "\u0661", "1_000", " 5", "+5", "05",
                           "-0", "1e3", "1.0", "5.", ".5", "--5", "5-", "9223372036854775807",
-                          "9223372036854775808"]
+                          "9223372036854775808", "\udcff", "5\udce9"]
 LAYOUTS = ["plain", "quoted", "crlf", "blank line", "header only", "no final newline"]
 POSITION, COUNTER = 3, -2  # pos_1 and clicks, on either grid
 
@@ -656,7 +661,7 @@ POSITION, COUNTER = 3, -2  # pos_1 and clicks, on either grid
 def columns_or_error(path, read, newline=""):
     """`read(fh)` on `path` opened as the loader opens a CSV file
     (newline="") or, with newline=None, a JSONL file."""
-    with open(path, newline=newline, encoding="utf-8") as fh:
+    with open(path, newline=newline, encoding="utf-8", errors="surrogateescape") as fh:
         try:
             columns = read(fh)
         except SchemaError as exc:
@@ -675,24 +680,24 @@ def load_columns(fh):
 
 def write_mutated_csv(path, days, row, edits, layout):
     """FUZZ_BASE on a `days` grid with edits to one row's cells, written in
-    `layout`."""
+    `layout`; a surrogate escape in an edit is written as its byte."""
     write_csv(FUZZ_BASE, str(path))
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [cells[:2 + days] + cells[-3:] for cells in csv.reader(fh)]
     rows[1 + row] = apply_edits(rows[1 + row], edits)
     if layout == "header only":
         rows = rows[:1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         csv.writer(fh, lineterminator="\r\n" if layout == "crlf" else "\n",
                    quoting=csv.QUOTE_ALL if layout == "quoted" else csv.QUOTE_MINIMAL,
                    ).writerows(rows)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
     if layout == "blank line":
         lines = text.split("\n")
         text = "\n".join([*lines[:2 + row], "", *lines[2 + row:]])
     elif layout == "no final newline":
         text = text[:-1]
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 @settings(max_examples=200, deadline=None,
@@ -724,6 +729,9 @@ def write_mutated_csv(path, days, row, edits, layout):
 @example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="header only")
 @example(days=14, row=0, edits=[("replace", POSITION, "7")], layout="no final newline")
 @example(days=3, row=0, edits=[("replace", POSITION, "7")], layout="plain")
+@example(days=14, row=1, edits=[("replace", 0, "p\udcff")], layout="plain")
+@example(days=14, row=1, edits=[("replace", 1, "c\udce9")], layout="plain")
+@example(days=14, row=1, edits=[("replace", POSITION, "5\udce9")], layout="plain")
 def test_bulk_and_per_row_csv_paths_agree(days, row, edits, layout, tmp_path):
     path = tmp_path / "fuzz.csv"
     write_mutated_csv(path, days, row, edits, layout)
@@ -778,7 +786,8 @@ JSON_TEXTS = ["+5", "05", ".5", "5.", "-0", "-0.0", "1E400", "1e-400", "NaN", "I
               "-Infinity", str(10 ** 400), "9223372036854775807", "9223372036854775808",
               "1.0", "true", "null", "7", "-1", "-1.0", "0.5", "1e2", "1.5E+1", "2.5e-0",
               " 5", "5 ", "\u0661", "[]", '"5"', '""', '"p\\u0041"', '"p\u00e9"',
-              '"p\u2028"', '"p\x85"', '"p\x1c"', '"p\x7f"', '"p\r"', '"p000000"']
+              '"p\u2028"', '"p\x85"', '"p\x1c"', '"p\x7f"', '"p\r"', '"p000000"', '"p\udcff"',
+              "5\udce9", '"p\\ud800"']
 JSONL_EDITS = ["position", "value", "swap", "repeat", "drop position", "extra position"]
 JSONL_LAYOUTS = ["plain", "crlf", "blank line", "bom", "no final newline", "empty"]
 PRODUCT_ID, CATEGORY, IMPRESSIONS, CLICKS, PURCHASES = 0, 1, 3, 4, 5
@@ -789,7 +798,8 @@ def write_mutated_jsonl(path, days, row, edits, layout):
     fields, written in `layout`. An edit is (op, index, text): "position"
     and "value" put `text` in place of a position or a field's value,
     "swap" swaps a field with the next, "repeat" repeats a field, and "drop
-    position" and "extra position" remove or repeat a position."""
+    position" and "extra position" remove or repeat a position. A surrogate
+    escape in `text` is written as its byte."""
     write_jsonl(FUZZ_BASE, str(path))
     lines = []
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
@@ -826,7 +836,7 @@ def write_mutated_jsonl(path, days, row, edits, layout):
         text = text[:-1]
     elif layout == "empty":
         text = ""
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 @settings(max_examples=200, deadline=None,
@@ -870,6 +880,10 @@ def write_mutated_jsonl(path, days, row, edits, layout):
 @example(days=14, row=2, edits=[("value", PRODUCT_ID, '"p000000"')], layout="plain")
 @example(days=14, row=0, edits=[("position", 0, "7")], layout="empty")
 @example(days=3, row=0, edits=[("position", 0, "7")], layout="plain")
+@example(days=14, row=1, edits=[("value", PRODUCT_ID, '"p\udcff"')], layout="plain")
+@example(days=14, row=1, edits=[("value", CATEGORY, '"c\udce9"')], layout="plain")
+@example(days=14, row=1, edits=[("value", CATEGORY, '"p\\ud800"')], layout="plain")
+@example(days=14, row=1, edits=[("position", 0, "5\udce9")], layout="plain")
 def test_bulk_and_per_row_jsonl_paths_agree(days, row, edits, layout, tmp_path):
     path = tmp_path / "fuzz.jsonl"
     write_mutated_jsonl(path, days, row, edits, layout)
