@@ -19,7 +19,6 @@ what centroid averaging does to short-lived excursions.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -45,7 +44,7 @@ from .core.formula import (
     children,
     operator_count,
 )
-from .core.semantics import _checked, _evaluate, eval_predicate
+from .core.semantics import _checked, _evaluate, _grid_length, eval_predicate
 from .ingest import COUNTERS, MISSING, OVERALL, Dataset, _write_csv_rows, position_channels
 from .parser import _fmt_num, print_formula
 from .props import PropertySpec
@@ -300,74 +299,61 @@ class ExpansionReport:
     atom_count: int
 
 
-def _formula_horizon(f: Formula, horizon: int) -> int:
-    """Last day the formula can be evaluated at, as on the evaluators' grid:
-    day `horizon` when the formula reads only `x`, otherwise one day less."""
-    chans = channels_of(f)
-    unknown = sorted(chans - {"x", "d1(x)"})
-    if unknown:
-        raise ExpansionError(f"cannot ground channel {unknown[0]!r} over a day horizon")
-    return horizon if chans == {"x"} else horizon - 1
+def _ground(f: Formula, last: int) -> tuple[object, int, int]:
+    """(root, operators, atoms): `f` grounded at day 0 over days 0..last,
+    with the connectives and atoms of the grounded tree counted in the one
+    walk that builds it. Each formula node visited, and each window slot
+    past `last`, counts once against MAX_GROUNDED_NODES."""
+    nodes = ops = atoms = 0
 
+    def counted(node: object) -> object:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_GROUNDED_NODES:
+            raise ExpansionError(f"expansion exceeds {MAX_GROUNDED_NODES} grounded nodes")
+        return node
 
-def _counted(node: object, nodes) -> object:
-    """`node`, once counted against MAX_GROUNDED_NODES."""
-    if next(nodes) > MAX_GROUNDED_NODES:
-        raise ExpansionError(f"expansion exceeds {MAX_GROUNDED_NODES} grounded nodes")
-    return node
+    def walk(f: Formula, t: int) -> object:
+        nonlocal ops, atoms
+        counted(f)
+        if isinstance(f, (TrueFormula, FalseFormula)):
+            return isinstance(f, TrueFormula)
+        if isinstance(f, Atom):
+            atoms += 1
+            return GAtom(f.predicate, t)
+        if isinstance(f, Not):
+            ops += 1
+            return GNot(walk(f.operand, t))
+        if isinstance(f, (And, Or)):
+            ops += 1
+            return (GAnd if isinstance(f, And) else GOr)((walk(f.left, t), walk(f.right, t)))
+        if isinstance(f, Implies):
+            ops += 2
+            return GOr((GNot(walk(f.left, t)), walk(f.right, t)))
+        if isinstance(f, (Eventually, Globally)):
+            # The window's identity literal: an empty F is false, an empty G true.
+            identity = isinstance(f, Globally)
+            stop = last if f.interval.unbounded else math.floor(t + f.interval.hi)
+            days = range(math.ceil(t + f.interval.lo), stop + 1)
+            if not days:
+                return identity
+            # Slots past the end count too, so a window of 1e15 days fails
+            # fast. Its range can be too long for len(): count the slots built.
+            slots = tuple(counted(identity) if u > last else walk(f.operand, u) for u in days)
+            ops += len(slots) - 1
+            return (GAnd if identity else GOr)(slots)
+        if isinstance(f, Until):
+            raise ExpansionError("until is not supported by propositional expansion")
+        raise ExpansionError(f"cannot ground {type(f).__name__}")
 
-
-def _ground(f: Formula, t: int, last: int, nodes) -> object:
-    _counted(f, nodes)
-    if isinstance(f, TrueFormula):
-        return True
-    if isinstance(f, FalseFormula):
-        return False
-    if isinstance(f, Atom):
-        return GAtom(f.predicate, t)
-    if isinstance(f, Not):
-        return GNot(_ground(f.operand, t, last, nodes))
-    if isinstance(f, And):
-        return GAnd((_ground(f.left, t, last, nodes), _ground(f.right, t, last, nodes)))
-    if isinstance(f, Or):
-        return GOr((_ground(f.left, t, last, nodes), _ground(f.right, t, last, nodes)))
-    if isinstance(f, Implies):
-        return GOr((GNot(_ground(f.left, t, last, nodes)), _ground(f.right, t, last, nodes)))
-    if isinstance(f, (Eventually, Globally)):
-        # The window's identity literal: an empty F is false, an empty G true.
-        identity = isinstance(f, Globally)
-        stop = last if f.interval.unbounded else math.floor(t + f.interval.hi)
-        days = range(math.ceil(t + f.interval.lo), stop + 1)
-        if not days:
-            return identity
-        # Slots past the end count too, so a window of 1e15 days fails fast.
-        return (GAnd if identity else GOr)(tuple(
-            _counted(identity, nodes) if u > last else _ground(f.operand, u, last, nodes)
-            for u in days
-        ))
-    if isinstance(f, Until):
-        raise ExpansionError("until is not supported by propositional expansion")
-    raise ExpansionError(f"cannot ground {type(f).__name__}")
-
-
-def _gcount(node: object) -> int:
-    if isinstance(node, (GAnd, GOr)):
-        return len(node.children) - 1 + sum(_gcount(c) for c in node.children)
-    if isinstance(node, GNot):
-        return 1 + _gcount(node.child)
-    return 0
-
-
-def _gatoms(node: object) -> int:
-    if isinstance(node, (GAnd, GOr)):
-        return sum(_gatoms(c) for c in node.children)
-    if isinstance(node, GNot):
-        return _gatoms(node.child)
-    return 1 if isinstance(node, GAtom) else 0
+    root = walk(f, 0)
+    if isinstance(root, (GAnd, GOr)):
+        ops -= len(root.children) - 1  # the joins between alternatives are free
+    return root, ops, atoms
 
 
 # Stands for the day in an atom's text. The grounded channels are x and d1(x)
-# (`_formula_horizon`), so no other part of the text holds it.
+# (`expand_propositional`), so no other part of the text holds it.
 _DAY = "\0"
 
 
@@ -411,19 +397,20 @@ def expand_propositional(f: Formula, horizon: int) -> ExpansionReport:
     over days 0..horizon-1. Bounded windows keep their full slot span, with
     slots past the end written as the window's identity literal (false for
     an eventuality, true for an invariant); unbounded windows stop at the
-    end. The grounded formula computes exactly the whole-trace verdict of
-    the evaluators on a trace of that length.
+    end. The last grounded day is the last day of the evaluators' grid
+    (`_grid_length`) on such a trace, so the grounded formula computes
+    exactly their whole-trace verdict. Channels other than x and d1(x)
+    cannot be grounded.
     """
     if horizon < 0:
         raise ExpansionError("horizon must be non-negative")
-    last = _formula_horizon(f, horizon)
+    unknown = sorted(channels_of(f) - {"x", "d1(x)"})
+    if unknown:
+        raise ExpansionError(f"cannot ground channel {unknown[0]!r} over a day horizon")
+    last = _grid_length(f, {"x": horizon + 1, "d1(x)": horizon}) - 1
     if last < 0:
         raise ExpansionError("horizon too short for the derivative channel")
-    root = _ground(f, 0, last, itertools.count(1))
-    if isinstance(root, (GAnd, GOr)):
-        ops = sum(_gcount(c) for c in root.children)
-    else:
-        ops = _gcount(root)
+    root, ops, atoms = _ground(f, last)
     return ExpansionReport(
         source=print_formula(f),
         horizon=horizon,
@@ -431,7 +418,7 @@ def expand_propositional(f: Formula, horizon: int) -> ExpansionReport:
         text=_gtext(root, {}),
         operator_count=ops,
         stl_operator_count=operator_count(f),
-        atom_count=_gatoms(root),
+        atom_count=atoms,
     )
 
 

@@ -125,7 +125,9 @@ class Predicate:
     """lhs op rhs, where op is one of < <= > >= == !=.
 
     Equality and inequality compare with an absolute tolerance:
-    lhs == rhs holds when |lhs - rhs| <= eq_tolerance, and != is its negation.
+    lhs == rhs holds when |lhs - rhs| <= eq_tolerance, and lhs != rhs when
+    |lhs - rhs| > eq_tolerance. Every comparison is false when lhs - rhs is
+    NaN, as when both sides overflow to one infinity.
     """
 
     lhs: Expr
@@ -271,9 +273,12 @@ def desugar(f: Formula) -> Formula:
 
     The rewrites follow the usual dual definitions:
     false = !true, a | b = !(!a & !b), a -> b = !a | b,
-    p > q = !(p <= q), p >= q = !(p < q),
-    p == q = (p - q <= tol) & (q - p <= tol), p != q = !(p == q),
+    p > q = q < p, p >= q = q <= p,
+    p == q = (p - q <= tol) & (q - p <= tol),
+    p != q = !(!(tol < p - q) & !(tol < q - p)),
     F_I f = true U_I f, G_I f = !F_I !f.
+    No comparison is rewritten as the negation of another: each of them is
+    false when p - q is NaN (see `Predicate`), and so is its rewrite.
     Structure is preserved rather than simplified, so double negations from
     the dual forms remain.
     """
@@ -285,16 +290,14 @@ def desugar(f: Formula) -> Formula:
         p = f.predicate
         if p.op in ("<", "<="):
             return f
-        if p.op == ">":
-            return Not(Atom(Predicate(p.lhs, "<=", p.rhs, p.eq_tolerance)))
-        if p.op == ">=":
-            return Not(Atom(Predicate(p.lhs, "<", p.rhs, p.eq_tolerance)))
+        if p.op in (">", ">="):
+            return Atom(Predicate(p.rhs, p.op.replace(">", "<"), p.lhs, p.eq_tolerance))
         tol = Const(p.eq_tolerance)
-        eq = And(
-            Atom(Predicate(Sub(p.lhs, p.rhs), "<=", tol, p.eq_tolerance)),
-            Atom(Predicate(Sub(p.rhs, p.lhs), "<=", tol, p.eq_tolerance)),
-        )
-        return eq if p.op == "==" else Not(eq)
+        sides = ((p.lhs, p.rhs), (p.rhs, p.lhs))
+        if p.op == "==":
+            return And(*(Atom(Predicate(Sub(a, b), "<=", tol, p.eq_tolerance)) for a, b in sides))
+        return Not(And(*(Not(Atom(Predicate(tol, "<", Sub(a, b), p.eq_tolerance)))
+                         for a, b in sides)))
     if isinstance(f, Not):
         return Not(desugar(f.operand))
     if isinstance(f, And):

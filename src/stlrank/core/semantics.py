@@ -177,8 +177,11 @@ def eval_term(e, value_of):
 
 def eval_predicate(p: Predicate, value_of):
     """Truth of `lhs op rhs`, a bool or a boolean array like `eval_term`;
-    == and != compare |lhs - rhs| with the predicate's tolerance."""
-    diff = eval_term(p.lhs, value_of) - eval_term(p.rhs, value_of)
+    == and != compare |lhs - rhs| with the predicate's tolerance. A term
+    that overflows is infinite, and a difference of two equal infinities is
+    NaN, which makes every comparison false; numpy warns of neither."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = eval_term(p.lhs, value_of) - eval_term(p.rhs, value_of)
     if p.op == "<":
         return diff < 0.0
     if p.op == "<=":

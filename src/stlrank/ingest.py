@@ -778,28 +778,23 @@ def generate(config: GeneratorConfig) -> Dataset:
     base, extra = divmod(n, config.category_count)
     counts = np.where((np.arange(cats) < extra)[:, None],
                       _exact_counts(names, shares, base + 1), _exact_counts(names, shares, base))
-    # starts[c, j]: the row of category c's first pattern-j record.
-    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    # planted_index[i]: the pattern code of row i, in category-major order.
+    planted_index = np.repeat(np.tile(np.arange(len(names)), cats), counts.ravel())
     for j, pattern in enumerate(names):
         builder, means = _PATTERNS[pattern]
-        per_category = counts[:, j]
-        drawn = int(per_category.sum())
-        block = builder(rng, drawn)
+        # A pattern's rows are drawn in category order: drawn row k is its row k.
+        rows = np.flatnonzero(planted_index == j)
+        block = builder(rng, len(rows))
         if config.noise_sigma > 0:
             noise = rng.normal(0.0, config.noise_sigma, block.shape)
             block = np.where(block == MISSING, MISSING,
                              np.round(np.maximum(1.0, block + noise), 3))
-        # Drawn row i of category c goes to row i - (rows drawn for the
-        # categories before c) + starts[c, j].
-        shift = starts[:, j] - (np.cumsum(per_category) - per_category)
-        rows = np.arange(drawn) + np.repeat(shift, per_category)
         positions[rows] = block
-        counters[rows] = rng.poisson(means, (drawn, len(COUNTERS)))
+        counters[rows] = rng.poisson(means, (len(rows), len(COUNTERS)))
 
     ids = list(map("p%06d".__mod__, range(n)))
     categories = [f"c{i}" for i in range(cats)]
     codes = np.repeat(np.arange(cats), counts.sum(axis=1))
-    planted_index = np.repeat(np.tile(np.arange(len(names)), cats), counts.ravel())
     planted = dict(zip(ids, map(names.__getitem__, planted_index.tolist())))
     columns = (ids, categories, codes, positions, counters)
     if not _columns_valid(ids, categories, positions, counters):

@@ -332,10 +332,40 @@ GATE_BASE = generate(GeneratorConfig(
     n_records=6, pattern_mix={p: 1 / 6 for p in PATTERNS}, category_count=2, seed=5))
 GATE_TOKENS = [b",", b'"', b"\r", b"\n", b"\xff", b"\xe9", b"\x00", b"-1", b"nan", b"1e400",
                b"{", b"[", b"", b"1", b"9", b".", b"\xc3\xa9", b"p000001"]
+# A third of all edits insert a token, a third replace one byte, and a third
+# keep the file valid, so that many mutated files load: ("cell", k, number)
+# writes `number` in place of the k-th position cell (a number with a point,
+# or -1), ("id", k, _) puts a comma in product id p00000k (k taken modulo 6),
+# quoted in CSV, and ("crlf", _, _) ends every line in \r\n.
+GATE_POSITION_CELL = re.compile(rb"(?<=[,\[])(?:[0-9]+\.[0-9]+|-1)(?=[,\]])")
+GATE_EDITS = st.one_of(
+    st.tuples(st.integers(0, 1200), st.just(0), st.sampled_from(GATE_TOKENS)),
+    st.tuples(st.integers(0, 1200), st.just(1), st.sampled_from(GATE_TOKENS)),
+    st.tuples(st.sampled_from(["cell", "id", "crlf"]), st.integers(0, 83),
+              st.sampled_from([b"1", b"-1", b"7.5", b"100", b"2.25", b"1e2"])),
+)
 GATE_COMMANDS = [["rates"], ["rates", "--complete-only"], ["metrics"],
                  ["check", "--property", "reach"],
                  ["check", "--formula", "F[0,3](d1(x) < -2) & G(x >= 1)", "--each"],
                  ["kmeans", "--k", "2"]]
+
+
+def gate_edited(data, fmt, edit):
+    """`data` after one edit of `GATE_EDITS`."""
+    i, n, token = edit
+    if i == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if i == "cell":
+        cells = [m.span() for m in GATE_POSITION_CELL.finditer(data)]
+        if not cells:
+            return data
+        start, end = cells[n % len(cells)]
+        return data[:start] + token + data[end:]
+    if i == "id":
+        comma = b"p,%d" % (n % 6)
+        return data.replace(b"p%06d" % (n % 6), b'"%s"' % comma if fmt == "csv" else comma)
+    i %= len(data) + 1
+    return data[:i] + token + data[i + n:]
 
 
 def columns_of(ds):
@@ -346,16 +376,14 @@ def columns_of(ds):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fmt=st.sampled_from(["csv", "jsonl"]),
-       edits=st.lists(st.tuples(st.integers(0, 1200), st.integers(0, 1),
-                                st.sampled_from(GATE_TOKENS)), min_size=1, max_size=3))
+       edits=st.lists(GATE_EDITS, min_size=1, max_size=3))
 @example(fmt="csv", edits=[(0, 10 ** 6, WRONG_HEADER_THEN_BAD_BYTE)])
 def test_mutated_files_end_in_a_result_or_a_typed_error(fmt, edits, tmp_path, capsys):
     path = tmp_path / f"gate.{fmt}"
     write_dataset(GATE_BASE, str(path))
     data = path.read_bytes()
-    for i, n, token in edits:
-        i %= len(data) + 1
-        data = data[:i] + token + data[i + n:]
+    for edit in edits:
+        data = gate_edited(data, fmt, edit)
     path.write_bytes(data)
     for command in GATE_COMMANDS:
         code = main([command[0], "-i", str(path), *command[1:]])
@@ -728,8 +756,19 @@ def test_rates_complete_only_drops_a_category_left_empty(tmp_path):
         assert [(r["category"], r["total"]) for r in rows] == expected
 
 
+def test_a_term_that_overflows_compares_without_a_warning(dataset, capsys):
+    """x * 1e300 * 1e300 overflows to inf: inf > 1 holds, and inf - inf is
+    NaN, which no comparison holds for."""
+    for formula, satisfied in (("x*1e300*1e300 > 1", "200/200 (1.0000)"),
+                               ("x*1e300*1e300 != x*1e300*1e300", "0/200 (0.0000)")):
+        assert main(["check", "-i", str(dataset), "--formula", formula]) == 0
+        out, err = capsys.readouterr()
+        assert (out.splitlines()[-1], err) == (f"satisfied {satisfied}", "")
+
+
 def test_expand_past_the_node_budget_is_a_usage_error(capsys):
-    for formula, horizon in (("F(G(F(x < 1)))", "300"), ("F[0,1e15](x < 1)", "3")):
+    for formula, horizon in (("F(G(F(x < 1)))", "300"), ("F[0,1e15](x < 1)", "3"),
+                             ("F[0,1e300](x < 1)", "3")):
         code = main(["expand", "--formula", formula, "--horizon", horizon])
         assert code == 2
         assert capsys.readouterr().err == "error: expansion exceeds 500000 grounded nodes\n"

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stlrank import (
+    Abs,
+    Add,
     And,
     Atom,
     Const,
@@ -11,10 +15,13 @@ from stlrank import (
     Globally,
     Implies,
     Interval,
+    Mul,
+    Neg,
     Not,
     Or,
     Predicate,
     SampleTimeError,
+    Sub,
     TRUE,
     Trace,
     TraceSet,
@@ -26,8 +33,10 @@ from stlrank import (
     eval_naive,
     eval_rows,
     evaluation_grid,
+    position_channels,
 )
-from gen_support import random_formula, random_traceset
+from stlrank.core.formula import COMPARISONS
+from gen_support import random_formula, random_traceset, st_positions
 
 FULL = Interval(0, float("inf"))
 
@@ -249,6 +258,31 @@ def test_desugar_preserves_per_time_semantics():
         w = random_traceset(rng, channels, max_len=12)
         f = random_formula(rng, channels, depth=3)
         assert per_time(desugar(f), w) == per_time(f, w)
+
+
+# Terms over x and d1(x) whose products can overflow to an infinity, so
+# that a difference of two of them can be NaN (inf - inf).
+ST_HUGE_TERMS = st.recursive(
+    st.sampled_from([Const(1e300), Const(-1e300), Const(2.0), Var("x"), Var("d1(x)")]),
+    lambda t: st.one_of(st.builds(Add, t, t), st.builds(Sub, t, t), st.builds(Mul, t, t),
+                        st.builds(Neg, t), st.builds(Abs, t)),
+    max_leaves=4,
+)
+HUGE = Mul(Mul(Var("x"), Const(1e300)), Const(1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lhs=ST_HUGE_TERMS, op=st.sampled_from(COMPARISONS), rhs=ST_HUGE_TERMS,
+       positions=st_positions())
+@example(lhs=HUGE, op=">", rhs=HUGE, positions=[5.0, 3.0])
+@example(lhs=HUGE, op=">=", rhs=HUGE, positions=[5.0, 3.0])
+@example(lhs=HUGE, op="!=", rhs=HUGE, positions=[5.0, 3.0])
+def test_desugar_agrees_where_terms_overflow(lhs, op, rhs, positions):
+    """Every comparison of a NaN difference is false, in the evaluators and
+    in the desugared formula alike, and numpy warns of no overflow."""
+    f = Atom(Predicate(lhs, op, rhs, 0.5))
+    w = position_channels(np.array(positions))
+    assert per_time(desugar(f), w) == per_time(f, w) == naive_per_time(f, w)
 
 
 def test_globally_eventually_duality():
