@@ -44,7 +44,7 @@ from .core.formula import (
     children,
     operator_count,
 )
-from .core.semantics import _checked, _evaluate, _grid_length, eval_predicate
+from .core.semantics import _grid_length, _row_verdicts, eval_predicate
 from .ingest import COUNTERS, MISSING, OVERALL, Dataset, _write_csv_rows, position_channels
 from .parser import _fmt_num, print_formula
 from .props import PropertySpec
@@ -157,18 +157,14 @@ def verdict_matrix(
     positions: np.ndarray, formulas: Sequence[Formula], *, until_strict: bool = False
 ) -> np.ndarray:
     """out[i, j] = row i of a (rows, days) position matrix satisfies formula
-    j, as `eval_rows` gives it. Rows are evaluated in blocks of `_BLOCK`:
-    a block's channels are built and checked once and serve every formula,
-    which share the values of their common subformulas; with no rows,
-    nothing is built or evaluated."""
+    j, as `eval_rows` gives it, one `_row_verdicts` pass per block of
+    `_BLOCK` rows; with no rows, nothing is built or evaluated."""
     out = np.zeros((len(positions), len(formulas)), dtype=bool)
     for start in range(0, len(positions), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        channels = _checked(position_channels(positions[rows]))
-        cache: dict = {}
-        for j, f in enumerate(formulas):
-            _, alg, value = _evaluate(f, channels, until_strict, cache)
-            out[rows, j] = alg.day0(value)
+        verdicts = _row_verdicts(formulas, position_channels(positions[rows]), until_strict)
+        for j, column in enumerate(verdicts):
+            out[rows, j] = column
     return out
 
 

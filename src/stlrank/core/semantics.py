@@ -49,13 +49,13 @@ follows from n alone, and both give the same verdicts. The walk keeps each
 node's value in a cache keyed by the node, so a subformula shared by several
 formulas on the same channels, such as an atom, is evaluated once.
 
-One core, `_evaluate`, runs the walk for `eval_fast` and for `eval_rows`.
-`eval_rows` takes R traces at once, each channel an (R, n_c) matrix: a
+One core, `_evaluate`, runs the walk for `eval_fast` and `_row_verdicts`.
+`_row_verdicts` takes R traces at once, each channel an (R, n_c) matrix: a
 node's value holds all R rows, and one window's day offsets serve them all.
-Every evaluator checks its channels with `_checked` first; the one-trace
-evaluators check only the channels the formula reads, and also that each
-is 1-d. The dataset entry, `analytics.verdict_matrix`, checks them once per
-block of rows for all formulas, which share one cache.
+It checks the channels once with `_checked` and reads day 0 of each of its
+formulas, which share one cache. `eval_rows` is its one-formula case, and
+`analytics.verdict_matrix` calls it once per block of rows. The one-trace
+evaluators check only the channels the formula reads, and that each is 1-d.
 
 Both evaluators, and the grounded evaluator of propositional expansion, read
 terms through `eval_term` and comparisons through `eval_predicate`; numpy
@@ -395,8 +395,14 @@ def eval_rows(f: Formula, channels, *, until_strict: bool = False) -> np.ndarray
     trace, (n_c,) each, give a 0-d verdict. A channel that is not numeric,
     has no day or a value that is not finite, or channels whose leading
     shapes differ, raise EvaluationError."""
-    _, alg, value = _evaluate(f, _checked(channels), until_strict, {})
-    return alg.day0(value)
+    return _row_verdicts([f], channels, until_strict)[0]
+
+
+def _row_verdicts(formulas, channels, strict: bool) -> list[np.ndarray]:
+    """`eval_rows` of each formula, on channels checked once; one node cache."""
+    arrays, cache = _checked(channels), {}
+    results = (_evaluate(f, arrays, strict, cache) for f in formulas)
+    return [alg.day0(value) for _, alg, value in results]
 
 
 # ---------------------------------------------------------------------------

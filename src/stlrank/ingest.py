@@ -787,8 +787,10 @@ def generate(config: GeneratorConfig) -> Dataset:
         block = builder(rng, len(rows))
         if config.noise_sigma > 0:
             noise = rng.normal(0.0, config.noise_sigma, block.shape)
-            block = np.where(block == MISSING, MISSING,
-                             np.round(np.maximum(1.0, block + noise), 3))
+            # A huge sigma rounds to inf, which the row path below names.
+            with np.errstate(over="ignore"):
+                block = np.where(block == MISSING, MISSING,
+                                 np.round(np.maximum(1.0, block + noise), 3))
         positions[rows] = block
         counters[rows] = rng.poisson(means, (len(rows), len(COUNTERS)))
 

@@ -212,6 +212,7 @@ MALFORMED_ROWS = [
     ("jsonl", {"positions": [5] * 13},
      "row 2: record 'p2': 13 positions, the first record has 14"),
     ("jsonl", {"positions": 5}, "row 2: column 'positions': not a list"),
+    ("jsonl", {"positions": []}, "row 2: record 'p2': no positions"),
     ("jsonl", {"impressions": -3},
      "row 2: record 'p2': impressions must be a non-negative integer, got -3"),
     ("jsonl", {"clicks": -1}, "row 2: record 'p2': clicks must be a non-negative integer, got -1"),
@@ -638,6 +639,20 @@ def test_generate_needs_a_finite_noise_sigma(sigma, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: noise_sigma must be finite, got {sigma}\n"
     assert not out.exists()
+
+
+def test_generate_with_a_huge_noise_sigma_prints_no_warning(tmp_path):
+    """Run with every warning shown: noise that rounds to inf is named by
+    the error line alone, and no file is written."""
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "stlrank", "generate", "--n", "20",
+         "--mix", "flat=0.5,missing=0.5", "--noise-sigma", "1e305", "-o", "big.csv"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: row 4: record 'p000003': pos_8 must be >= 1 or -1, got inf\n")
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_generate_negative_seed_is_a_usage_error(tmp_path, capsys):

@@ -40,8 +40,10 @@ from stlrank import (
     evaluate_grounded,
     expand_propositional,
     generate,
+    metric_distribution,
     parse_formula,
     position_channels,
+    satisfaction_rates,
     traceset_from_positions,
 )
 from stlrank import analytics
@@ -118,6 +120,14 @@ def test_verdict_matrix_agrees_with_rows_and_naive(case, strict):
 def test_verdict_matrix_of_no_rows_evaluates_nothing(days):
     got = verdict_matrix(np.zeros((0, days)), [Y_BELOW_1, X_ABOVE_5])
     assert got.shape == (0, 2) and got.dtype == np.bool_
+
+
+def test_verdict_matrix_of_no_formulas_has_no_columns():
+    got = verdict_matrix(np.ones((3, 14)), [])
+    assert got.shape == (3, 0) and got.dtype == np.bool_
+    ds = generate(GeneratorConfig(n_records=6, pattern_mix={"flat": 1.0}, seed=3))
+    assert satisfaction_rates(ds, []).to_text() == "category  property  satisfied  total  rate\n"
+    assert metric_distribution(ds, []).to_csv_text() == "property,group,metric,count,mean\n"
 
 
 def test_verdict_matrix_checks_its_channels():

@@ -1,7 +1,8 @@
 """Every name a module under src/ or tests/ imports is used in that module
-or listed in its __all__ (`from __future__` imports excepted), and every
+or listed in its __all__ (`from __future__` imports excepted), every
 function, class and constant a module under src/ defines at its top level is
-named outside its definition, in src/, tests/ or perfbench/."""
+named outside its definition, in src/, tests/ or perfbench/, and the private
+names one module under src/ imports from another are those listed here."""
 
 import ast
 from collections import Counter
@@ -92,3 +93,55 @@ def test_every_definition_under_src_is_named():
     paths = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
     sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in paths}
     assert dead_definitions(sources, [p for p in sources if p.startswith("src/")]) == []
+
+
+# Every underscore name a module under src/ imports from another stlrank
+# module, as (importer, defining module, name). Each is a coupling past a
+# module's public names; a new one fails until it is listed here on purpose.
+PRIVATE_IMPORTS = {
+    ("stlrank.analytics", "stlrank.core.semantics", "_grid_length"),
+    ("stlrank.analytics", "stlrank.core.semantics", "_row_verdicts"),
+    ("stlrank.analytics", "stlrank.ingest", "_write_csv_rows"),
+    ("stlrank.analytics", "stlrank.parser", "_fmt_num"),
+    ("stlrank.props", "stlrank.parser", "_fmt_num"),
+    ("stlrank.cli", "stlrank.analytics", "_csv_text"),
+}
+
+
+def private_imports(path: str, source: str) -> set[tuple[str, str, str]]:
+    """(importer, defining module, name) of each underscore name that the
+    module at `path`, relative to src/, imports from a stlrank module."""
+    parts = path.removesuffix(".py").split("/")
+    package = parts[:-1]
+    module = ".".join(package if parts[-1] == "__init__" else parts)
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source_module = node.module
+        if node.level:
+            base = package[:len(package) - node.level + 1]
+            source_module = ".".join(base + ([node.module] if node.module else []))
+        if source_module.partition(".")[0] != "stlrank":
+            continue
+        found.update((module, source_module, alias.name) for alias in node.names
+                     if alias.name.startswith("_") and not alias.name.startswith("__"))
+    return found
+
+
+def test_the_scan_finds_a_private_import():
+    source = ("from .b import _x, y\nfrom ..c import _z\nfrom os import _w\n"
+              "from stlrank.d import _v\n")
+    assert private_imports("stlrank/core/a.py", source) == {
+        ("stlrank.core.a", "stlrank.core.b", "_x"), ("stlrank.core.a", "stlrank.c", "_z"),
+        ("stlrank.core.a", "stlrank.d", "_v")}
+    assert private_imports("stlrank/core/__init__.py", "from .a import _x\n") == {
+        ("stlrank.core", "stlrank.core.a", "_x")}
+
+
+def test_private_names_cross_modules_only_as_listed():
+    found = set()
+    for p in sorted((ROOT / "src").rglob("*.py")):
+        path = p.relative_to(ROOT / "src").as_posix()
+        found |= private_imports(path, p.read_text(encoding="utf-8"))
+    assert found == PRIVATE_IMPORTS

@@ -75,6 +75,8 @@ def test_record_validation():
     for positions in (["a"], [1.0, None], [None], None, 5.0, "1234", b"12", bytearray(b"12")):
         with pytest.raises(SchemaError, match="'p': positions must be a list of numbers"):
             ProductRecord("p", "c", positions, 0, 0, 0)
+    with pytest.raises(SchemaError, match="^record 'p': no positions$"):
+        ProductRecord("p", "c", (), 1, 1, 1)
 
 
 def test_dataset_rejects_duplicate_ids():
@@ -416,6 +418,16 @@ def test_noise_never_moves_a_missing_day_nor_goes_below_one(sigma):
     planted = np.array([mixed.planted[pid] for pid in mixed.ids])
     assert not gone[planted != "missing"].any()
     assert (gone[planted == "missing"].sum(axis=1) >= 4).all()
+
+
+def test_noise_that_rounds_to_inf_is_a_schema_error():
+    """The generator's row check names the first infinite position, and
+    numpy warns of no overflow on the way."""
+    config = GeneratorConfig(n_records=20, pattern_mix={"flat": 0.5, "missing": 0.5},
+                             noise_sigma=1.7e308)
+    with pytest.raises(SchemaError) as err:
+        generate(config)
+    assert str(err.value) == "row 1: record 'p000000': pos_1 must be >= 1 or -1, got inf"
 
 
 def test_generated_rows_follow_the_exact_counts_in_category_major_order(tmp_path):
